@@ -17,6 +17,9 @@ docs/static-analysis.md for the full rule prose). The rules:
       `// bcop-lint: allow(R8): <why>`)
   R9  hot-TU include hygiene: src/xnor/exec.cpp and src/obs/metrics.hpp
       may not directly include <mutex>, <iostream> or <functional>
+  R10 raw sockets and readiness syscalls confined to src/net/
+  R11 tests name temp files only through testhelpers::unique_temp_path
+      (no literal /tmp/ paths, no temp_directory_path() joins)
 
 Every rule self-tests against pass/fail fixture trees in tests/lint/
 (`--self-test`, also wired into ctest as `lint_selftest`).
@@ -38,7 +41,7 @@ from invariants.selftest import run_self_test  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="structural invariant lint (rules R1..R9)")
+        description="structural invariant lint (rules R1..R11)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="tree to lint (default: the repo)")
     parser.add_argument("--rule", metavar="ID",

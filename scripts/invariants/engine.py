@@ -56,13 +56,18 @@ class SourceTree:
         p = self.root / rel
         return p.read_text() if p.is_file() else None
 
+    def test_files(self) -> list[tuple[str, str]]:
+        """(relative posix path, text) for every top-level tests/*.cpp|hpp
+        (fixture subtrees under tests/lint/ are out of scope)."""
+        if not self.tests.is_dir():
+            return []
+        return [(p.relative_to(self.root).as_posix(), p.read_text())
+                for p in sorted(self.tests.glob("*.[ch]pp"))]
+
     def test_corpus(self) -> str:
         """Concatenated top-level tests/*.cpp|hpp (fixture subtrees under
         tests/lint/ are deliberately out of scope)."""
-        if not self.tests.is_dir():
-            return ""
-        return "\n".join(p.read_text()
-                         for p in sorted(self.tests.glob("*.[ch]pp")))
+        return "\n".join(text for _, text in self.test_files())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The repo's invariant rules, R1..R10, as data.
+"""The repo's invariant rules, R1..R11, as data.
 
 Each rule is a Rule value built either from a declarative constructor in
 engine.py (token confinement, token-free zone, include hygiene) or from a
@@ -121,6 +121,28 @@ def _check_r8(tree: SourceTree) -> list[Violation]:
     return out
 
 
+# ---- R11: collision-free temp paths in tests -------------------------------
+
+# ctest runs every gtest case as its own process, in parallel under
+# `ctest -j`, so a fixed temp-file name is a race between cases. A literal
+# /tmp/ path or any temp_directory_path() join is banned under tests/;
+# testhelpers::unique_temp_path (pid + test name) is the one way to name a
+# temp file, and its home is the only exemption.
+TEMP_PATH = re.compile(r"\"/tmp/|temp_directory_path\s*\(")
+R11_EXEMPT = ("tests/test_helpers.hpp",)
+
+
+def _check_r11(tree: SourceTree) -> list[Violation]:
+    out = []
+    for rel, text in tree.test_files():
+        if rel in R11_EXEMPT:
+            continue
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if TEMP_PATH.search(strip_comment(line)):
+                out.append(Violation("R11", rel, lineno, line.strip()))
+    return out
+
+
 # ---- R4 / R7 structural checks --------------------------------------------
 
 def _check_r4(tree: SourceTree) -> list[Violation]:
@@ -224,4 +246,8 @@ RULES: list[Rule] = [
         "bounded parser and admission control in src/net/; a socket "
         "opened elsewhere is an unaudited ingress path",
         SOCKET_USE, ("src/net/",), comment_stripped=True),
+    Rule("R11", "tests name temp files only through unique_temp_path",
+         "a fixed temp path races between test processes under ctest -j "
+         "(a literal /tmp/ path or a temp_directory_path() join outside "
+         "tests/test_helpers.hpp)", _check_r11),
 ]

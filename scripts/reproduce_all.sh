@@ -15,7 +15,7 @@ then run every bench binary in build/bench/. Run from the repo root.
 Stages are controlled by environment variables (all default off/full):
   QUICK=1            reduced training schedules (minutes instead of hours)
   STATIC_ANALYSIS=1  also run scripts/static_analysis.sh: clang-tidy, the
-                     R1-R10 repo-invariant lint plus its fixture self-test,
+                     R1-R11 repo-invariant lint plus its fixture self-test,
                      and the binary-level hot-path audit (nm/objdump over
                      the interpreter and metric-recording objects); the
                      concurrency contracts themselves compile-check under

@@ -66,7 +66,7 @@ else
 fi
 
 # --- Stage 3: repo-invariant lint -----------------------------------------
-echo "== invariant lint (scripts/check_invariants.py, rules R1-R9) =="
+echo "== invariant lint (scripts/check_invariants.py, rules R1-R11) =="
 if python3 scripts/check_invariants.py; then
   record invariant-lint PASS
 else

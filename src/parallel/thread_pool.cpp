@@ -100,12 +100,14 @@ void ThreadPool::run_bulk_chunks() {
 }
 
 void ThreadPool::for_chunks(std::int64_t begin, std::int64_t end, ChunkFn fn,
-                            void* ctx) {
+                            void* ctx, std::int64_t max_parts) {
   BCOP_CHECK(fn != nullptr, "for_chunks with null chunk function");
+  BCOP_CHECK(max_parts >= 1, "for_chunks fan-out cap %lld < 1",
+             static_cast<long long>(max_parts));
   const std::int64_t n = end - begin;
   if (n <= 0) return;
-  const std::int64_t parts =
-      std::min<std::int64_t>(n, static_cast<std::int64_t>(size()) + 1);
+  const std::int64_t parts = std::min(
+      {n, static_cast<std::int64_t>(size()) + 1, max_parts});
   if (parts <= 1) {
     fn(ctx, begin, end);
     return;
@@ -123,7 +125,13 @@ void ThreadPool::for_chunks(std::int64_t begin, std::int64_t end, ChunkFn fn,
     bulk_failed_ = false;
     bulk_error_ = nullptr;
   }
-  cv_work_.notify_all();
+  // Wake only the workers the region can use; the caller claims every
+  // chunk a late or busy worker leaves, so under-waking cannot stall.
+  if (parts > static_cast<std::int64_t>(size())) {
+    cv_work_.notify_all();
+  } else {
+    for (std::int64_t i = 1; i < parts; ++i) cv_work_.notify_one();
+  }
   run_bulk_chunks();  // the caller claims chunks alongside the workers
   std::exception_ptr error;
   {

@@ -49,18 +49,27 @@ class ThreadPool {
   /// Chunk body for for_chunks: fn(ctx, chunk_begin, chunk_end).
   using ChunkFn = void (*)(void* ctx, std::int64_t, std::int64_t);
 
+  /// Fan-out cap meaning "every worker plus the caller" (the 4-argument
+  /// for_chunks).
+  static constexpr std::int64_t kFullWidth = INT64_MAX;
+
   /// Allocation-free static-schedule chunked loop over [begin, end): the
   /// body arrives as a raw function pointer + context, and workers claim
   /// contiguous chunks off a shared cursor, so the hot serving path posts
   /// no std::function objects and no queue nodes (measured by the
   /// steady-state allocation tests). The calling thread participates.
-  /// Regions serialize per pool (one loop in flight at a time); each
-  /// region still fans out over every worker, so concurrent callers lose
-  /// only interleaving, not parallelism. Exceptions from the body
+  ///
+  /// `max_parts` (>= 1) caps the fan-out: the range splits into
+  /// min(end - begin, size() + 1, max_parts) chunks and only that many
+  /// minus one workers are woken. A region of one part runs inline on the
+  /// caller -- no lock, no notify, no region -- so concurrent callers of
+  /// small regions never wait on each other. Wider regions serialize per
+  /// pool (one loop in flight at a time). Exceptions from the body
   /// propagate to the caller (first one wins). Must not be called from
   /// inside a chunk body of the same pool (statically enforced by the
   /// BCOP_EXCLUDES below under Clang thread-safety builds).
-  void for_chunks(std::int64_t begin, std::int64_t end, ChunkFn fn, void* ctx)
+  void for_chunks(std::int64_t begin, std::int64_t end, ChunkFn fn, void* ctx,
+                  std::int64_t max_parts = kFullWidth)
       BCOP_EXCLUDES(bulk_mutex_, mutex_);
 
   /// Process-wide pool sized to hardware_concurrency() - 1 workers.

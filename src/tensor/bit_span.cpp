@@ -155,23 +155,23 @@ void flatten_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
 }  // namespace
 
 void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
-                std::int64_t w, BitSpan out) {
+                std::int64_t w, BitSpan out, std::int64_t max_parts) {
   const std::int64_t ho = h / 2, wo = w / 2;
   BCOP_CHECK(out.rows == n * ho * wo && out.cols == pixels.cols,
              "pool2_bits: out span [%lld, %lld] != [%lld, %lld]",
              static_cast<long long>(out.rows), static_cast<long long>(out.cols),
              static_cast<long long>(n * ho * wo),
              static_cast<long long>(pixels.cols));
-  // Fans out like every other pixel-row stage: at large batch the pooled
-  // rows are numerous enough (n*ho*wo) that a serial loop showed up in
-  // the per-stage histograms between two parallel stages.
+  // Chunked over output pixel rows, capped by the caller: the plan gives
+  // a large-batch pool (n*ho*wo rows, visible in the per-stage histograms
+  // when serial) the full pool and runs a small one inline.
   Pool2Ctx ctx{pixels, out, h, w, ho, wo};
   parallel::ThreadPool::global().for_chunks(0, n * ho * wo, &pool2_chunk,
-                                            &ctx);
+                                            &ctx, max_parts);
 }
 
 void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,
-                    std::int64_t c, BitSpan out) {
+                    std::int64_t c, BitSpan out, std::int64_t max_parts) {
   BCOP_CHECK(out.rows == n && out.cols == ppi * c,
              "flatten_pixels: out span [%lld, %lld] != [%lld, %lld]",
              static_cast<long long>(out.rows), static_cast<long long>(out.cols),
@@ -179,7 +179,8 @@ void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,
   // Chunked over images: one flat destination row per image, so chunks
   // never share a cache line of the destination.
   FlattenCtx ctx{pixels, out, ppi, c};
-  parallel::ThreadPool::global().for_chunks(0, n, &flatten_chunk, &ctx);
+  parallel::ThreadPool::global().for_chunks(0, n, &flatten_chunk, &ctx,
+                                            max_parts);
 }
 
 }  // namespace bcop::tensor

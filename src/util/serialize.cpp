@@ -132,4 +132,14 @@ bool BinaryReader::eof() {
   return in_.peek() == std::char_traits<char>::eof();
 }
 
+std::uint64_t BinaryReader::remaining() {
+  const std::streampos pos = in_.tellg();
+  in_.seekg(0, std::ios::end);
+  const std::streampos end = in_.tellg();
+  in_.seekg(pos);
+  if (!in_ || pos < 0 || end < pos)
+    throw std::runtime_error("BinaryReader: cannot size " + path_);
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 }  // namespace bcop::util

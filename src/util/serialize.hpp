@@ -53,6 +53,10 @@ class BinaryReader {
 
   bool eof();
 
+  /// Bytes left between the read position and the end of the file. Loaders
+  /// check untrusted counts against it before reserving or allocating.
+  std::uint64_t remaining();
+
  private:
   void raw(void* p, std::size_t n);
   std::ifstream in_;

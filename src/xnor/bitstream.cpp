@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "util/serialize.hpp"
 
@@ -19,6 +20,30 @@ namespace {
 // (level count, dyadic scale bits, pattern threshold banks) after each
 // binary stage's thresholds; v1 files load as levels = 1 defaults.
 constexpr std::uint32_t kVersion = 2;
+
+// Every count and dimension comes from an untrusted file, so each is
+// checked before it sizes an allocation: a crafted header must surface as
+// std::runtime_error, never as length_error, bad_alloc or invalid_argument.
+// Dimensions above 2^20 exceed any real layer and keep k*k*ci products far
+// from overflow.
+constexpr std::uint64_t kMaxDim = std::uint64_t{1} << 20;
+
+std::int64_t read_dim(BinaryReader& r) {
+  const std::uint64_t v = r.read_u64();
+  if (v > kMaxDim)
+    throw std::runtime_error("bitstream: dimension " + std::to_string(v) +
+                             " out of range");
+  return static_cast<std::int64_t>(v);
+}
+
+/// Reject `count` records of at least `min_bytes` each when the rest of
+/// the file cannot hold them.
+void check_count(BinaryReader& r, std::uint64_t count, std::uint64_t min_bytes,
+                 const char* what) {
+  if (count > r.remaining() / min_bytes)
+    throw std::runtime_error("bitstream: " + std::string(what) + " count " +
+                             std::to_string(count) + " exceeds the file");
+}
 
 void write_thresholds(BinaryWriter& w, const ThresholdSpec& spec) {
   w.write_tag("THRS");
@@ -55,8 +80,10 @@ void write_bits(BinaryWriter& w, const BitMatrix& m) {
 
 BitMatrix read_bits(BinaryReader& r) {
   r.expect_tag("BITS");
-  const auto rows = static_cast<std::int64_t>(r.read_u64());
-  const auto cols = static_cast<std::int64_t>(r.read_u64());
+  const std::int64_t rows = read_dim(r);
+  const std::int64_t cols = read_dim(r);
+  check_count(r, static_cast<std::uint64_t>(rows * ((cols + 63) / 64)),
+              sizeof(std::uint64_t), "packed weight word");
   BitMatrix m(rows, cols);
   const auto words = r.read_u64_array();
   if (words.size() != static_cast<std::size_t>(rows * m.words_per_row()))
@@ -89,6 +116,8 @@ ResidualSpec read_residual(BinaryReader& r) {
   const std::uint64_t banks = r.read_u64();
   if (banks != (std::uint64_t{1} << spec.levels) - 2)
     throw std::runtime_error("bitstream: residual bank count mismatch");
+  // A bank is at least its tag and two array lengths.
+  check_count(r, banks, 4 + 2 * sizeof(std::uint64_t), "threshold bank");
   spec.extra_banks.reserve(banks);
   for (std::uint64_t b = 0; b < banks; ++b)
     spec.extra_banks.push_back(read_thresholds(r));
@@ -157,6 +186,7 @@ XnorNetwork load_bitstream(const std::string& path) {
   const bool has_residual = version >= 2;
   const std::string name = r.read_string();
   const std::uint64_t count = r.read_u64();
+  check_count(r, count, 4, "stage");  // a stage is at least its tag
   std::vector<Stage> stages;
   stages.reserve(count);
   for (std::uint64_t s = 0; s < count; ++s) {
@@ -176,9 +206,9 @@ XnorNetwork load_bitstream(const std::string& path) {
     (void)tag;
     if (kind == "FCNV") {
       FirstConvStage st;
-      st.k = static_cast<std::int64_t>(r.read_u64());
-      st.ci = static_cast<std::int64_t>(r.read_u64());
-      st.co = static_cast<std::int64_t>(r.read_u64());
+      st.k = read_dim(r);
+      st.ci = read_dim(r);
+      st.co = read_dim(r);
       const BitMatrix packed = read_bits(r);
       if (packed.rows() != st.co || packed.cols() != st.k * st.k * st.ci)
         throw std::runtime_error("bitstream: FirstConv geometry mismatch");
@@ -191,9 +221,9 @@ XnorNetwork load_bitstream(const std::string& path) {
       stages.emplace_back(std::move(st));
     } else if (kind == "BCNV") {
       BinConvStage st;
-      st.k = static_cast<std::int64_t>(r.read_u64());
-      st.ci = static_cast<std::int64_t>(r.read_u64());
-      st.co = static_cast<std::int64_t>(r.read_u64());
+      st.k = read_dim(r);
+      st.ci = read_dim(r);
+      st.co = read_dim(r);
       st.weights = read_bits(r);
       if (st.weights.rows() != st.co ||
           st.weights.cols() != st.k * st.k * st.ci)
@@ -207,8 +237,8 @@ XnorNetwork load_bitstream(const std::string& path) {
       stages.emplace_back(FlattenStage{});
     } else if (kind == "BDNS") {
       BinDenseStage st;
-      st.in = static_cast<std::int64_t>(r.read_u64());
-      st.out = static_cast<std::int64_t>(r.read_u64());
+      st.in = read_dim(r);
+      st.out = read_dim(r);
       st.has_threshold = r.read_u32() != 0;
       st.weights = read_bits(r);
       if (st.weights.rows() != st.out || st.weights.cols() != st.in)

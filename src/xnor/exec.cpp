@@ -36,19 +36,20 @@ namespace {
 // ---- Plan-frozen kernel replay (GEMM / thresholds / im2row). ----
 //
 // The kernel bodies live in src/tensor/kernels/ (scalar + SIMD tiers);
-// compile() froze one tier's chunk pointers into every step. Replay is a
-// ctx fill plus a pool fan-out -- no tier branch, no dispatch lookup.
+// compile() froze one tier's chunk pointers and a fan-out width into
+// every step. Replay is a ctx fill plus a pool fan-out capped at that
+// width (1 runs inline) -- no tier branch, no dispatch lookup.
 
 void run_gemm(const PlanStep& st, ConstBitSpan a, const std::uint64_t* bt,
               std::int32_t* acc) {
   tensor::kernels::GemmCtx ctx{a, bt, st.co, acc};
-  ThreadPool::global().for_chunks(0, a.rows, st.gemm_fn, &ctx);
+  ThreadPool::global().for_chunks(0, a.rows, st.gemm_fn, &ctx, st.width);
 }
 
 void fire_thresholds(const PlanStep& st, const std::int32_t* acc,
                      const PreparedThresholds& prep, BitSpan out) {
   tensor::kernels::ThreshCtx ctx{acc, prep.thr.data(), prep.inv.data(), out};
-  ThreadPool::global().for_chunks(0, out.rows, st.thresh_fn, &ctx);
+  ThreadPool::global().for_chunks(0, out.rows, st.thresh_fn, &ctx, st.width);
 }
 
 void run_im2row(const PlanStep& st, ConstBitSpan pixels, BitSpan rows) {
@@ -57,7 +58,7 @@ void run_im2row(const PlanStep& st, ConstBitSpan pixels, BitSpan rows) {
   // re-check and re-resolve the dispatch tier on every replay).
   tensor::kernels::Im2RowCtx ctx{pixels, rows, st.h,  st.w,
                                  st.c,   st.k, st.ho, st.wo};
-  ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ctx);
+  ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ctx, st.width);
 }
 
 // ---- Fused first conv: quantized pixels -> conv -> threshold -> bits. ----
@@ -285,7 +286,7 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
                            st.h,     st.w,  st.c,            st.ho,
                            st.wo,    dst};
           ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_chunk,
-                                          &ctx);
+                                          &ctx, st.width);
         } else {
           // Residual entry: materialize the integer accumulators, then
           // fire the pattern banks (exec_residual.cpp).
@@ -334,7 +335,7 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
       }
       case StepKind::kPool:
         if (st.levels_in == 1)
-          tensor::pool2_bits(src, st.n, st.h, st.w, dst);
+          tensor::pool2_bits(src, st.n, st.h, st.w, dst, st.width);
         else
           residual_pool(st, half[st.src_half], half[st.dst_half]);
         break;
@@ -346,7 +347,7 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
                                st.in_rows, st.in_cols, st.in_wpr};
           const BitSpan d{half[st.dst_half] + m * st.out_rows * st.out_wpr,
                           st.out_rows, st.out_cols, st.out_wpr};
-          tensor::flatten_pixels(s, st.n, st.h * st.w, st.c, d);
+          tensor::flatten_pixels(s, st.n, st.h * st.w, st.c, d, st.width);
         }
         break;
       case StepKind::kBinDense:

@@ -1,7 +1,8 @@
 // Residual-binarization interpreter steps. ALLOCATION-FREE ZONE: same
 // contract as exec.cpp -- no Tensor/BitMatrix/std::vector construction, no
 // new/malloc; buffers are Workspace arena slices at plan-frozen offsets,
-// scratch is fixed-size stack tiles, fan-out is ThreadPool::for_chunks.
+// scratch is fixed-size stack tiles, fan-out is ThreadPool::for_chunks
+// capped at the step's plan-frozen width.
 // Enforced by lint rule R6 and scripts/audit_hot_path.py, measured by
 // tests/test_zero_alloc.cpp (M > 1 plans included).
 #include "xnor/exec_residual.hpp"
@@ -197,14 +198,16 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
       BitSpan rows{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
       tensor::kernels::Im2RowCtx ictx{a,    rows, st.h,  st.w,
                                       st.c, st.k, st.ho, st.wo};
-      ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ictx);
+      ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ictx,
+                                      st.width);
       a = ConstBitSpan{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
     }
     tensor::kernels::GemmCtx gctx{a, bt, st.co, target};
-    ThreadPool::global().for_chunks(0, a.rows, st.gemm_fn, &gctx);
+    ThreadPool::global().for_chunks(0, a.rows, st.gemm_fn, &gctx, st.width);
     if (st.in_scaled) {
       ScaleAccCtx sctx{acc, acc2, st.in_scale_bits[m], m == 0 ? 1 : 0};
-      ThreadPool::global().for_chunks(0, st.acc_len, &scale_acc_chunk, &sctx);
+      ThreadPool::global().for_chunks(0, st.acc_len, &scale_acc_chunk, &sctx,
+                                      st.width);
     }
   }
 }
@@ -228,7 +231,8 @@ void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
   ctx.wpr = st.out_wpr;
   ctx.plane_words = st.out_rows * st.out_wpr;
   ctx.levels = st.levels_out;
-  ThreadPool::global().for_chunks(0, st.out_rows, &residual_fire_chunk, &ctx);
+  ThreadPool::global().for_chunks(0, st.out_rows, &residual_fire_chunk, &ctx,
+                                  st.width);
 }
 
 void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
@@ -236,7 +240,7 @@ void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
   FirstConvAccCtx ctx{q,    fc.weights.data(), st.h,  st.w, st.c,
                       st.k, fc.co,             st.ho, st.wo, acc};
   ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_acc_chunk,
-                                  &ctx);
+                                  &ctx, st.width);
 }
 
 void residual_pool(const PlanStep& st, const std::uint64_t* src,
@@ -251,7 +255,8 @@ void residual_pool(const PlanStep& st, const std::uint64_t* src,
                       st.in_rows * st.in_wpr,
                       st.out_rows * st.out_wpr,
                       st.levels_in};
-  ThreadPool::global().for_chunks(0, st.out_rows, &residual_pool_chunk, &ctx);
+  ThreadPool::global().for_chunks(0, st.out_rows, &residual_pool_chunk, &ctx,
+                                  st.width);
 }
 
 }  // namespace bcop::xnor::detail

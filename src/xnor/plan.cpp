@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/im2row.hpp"
 #include "tensor/kernels/dispatch.hpp"
@@ -31,6 +32,80 @@ std::size_t bits_bytes(std::int64_t rows, std::int64_t cols) {
 
 [[noreturn]] void fail(const std::string& msg) {
   throw std::runtime_error("ExecutionPlan::compile: " + msg);
+}
+
+// ---- Fan-out cost model (PlanStep::width). ----
+//
+// A step's cost is its units of kernel work priced at the per-unit ns of
+// the traced perfbench b32 per-step table of n-CNV (StageProfiler self
+// ns/image, every region at full width, 4-thread AVX-512 host), divided
+// by the units/image summed over the layers:
+//   first conv  15355 ns / (900 rows x 432 MACs)             = 0.0395 ns/MAC
+//   im2row      14761 ns / 9342 words (k^2 x in_wpr per row)  = 1.58 ns/word
+//   GEMM        12980 ns / 70912 words (co x wpr per row)     = 0.183 ns/word
+//   thresholds   7041 ns / 20992 output channels              = 0.335 ns/ch
+//   pool         2065 ns / 221 words (wpr per row)            = 9.34 ns/word
+// Residual scale-accumulate and pattern-bank firing take the threshold
+// form and rate, per output channel and plane; flatten is a word gather
+// like im2row. Per-row overheads dominate im2row and pool, hence their
+// large per-word figures. Cross-check: single-thread rates from the same
+// table with fan-out disabled (0.136 / 4.4 / 0.52 / 0.39 / 10.7) against
+// twice the fork-join of an idle pool (~25 us, so a 50 us minimum) pick
+// the same n-CNV widths at batches 1, 8 and 32, except the first pool at
+// b32 (1 instead of 2). Constants, not options: a wrong guess moves a
+// step between inline and parallel, never changes its result.
+constexpr double kFirstConvNsPerMac = 0.0395;
+constexpr double kIm2rowNsPerWord = 1.58;
+constexpr double kGemmNsPerWord = 0.183;
+constexpr double kThreshNsPerChannel = 0.335;
+constexpr double kPoolNsPerWord = 9.34;
+// Each part must carry about twice the fork-join perfbench measures on
+// the same host (parallel.fork_join_us ~9-10 us) to pay for its worker.
+constexpr double kMinChunkNs = 20000.0;
+
+/// Estimated ns of one replay of `st` (all its regions), priced as above.
+double estimate_step_ns(const PlanStep& st) {
+  const auto d = [](std::int64_t v) { return static_cast<double>(v); };
+  // GEMM steps fed by a scaled residual stream run one pass per plane,
+  // each followed by a scale-accumulate over the output channels; a
+  // multi-level output fires one pattern bank per plane.
+  const double passes = d(st.in_scaled ? st.levels_in : 1);
+  const double scale_acc = st.in_scaled ? d(st.co) * kThreshNsPerChannel : 0.0;
+  const double fire = d(st.levels_out * st.co) * kThreshNsPerChannel;
+  switch (st.kind) {
+    case StepKind::kFirstConv:
+      // The classic kernel fires its thresholds inside the MAC loop; a
+      // residual entry fires its pattern banks as a separate region.
+      return d(st.out_rows) *
+             (d(st.k * st.k * st.c * st.co) * kFirstConvNsPerMac +
+              (st.levels_out > 1 ? fire : 0.0));
+    case StepKind::kBinConv:
+      return d(st.out_rows) *
+             (passes * (d(st.k * st.k * st.in_wpr) * kIm2rowNsPerWord +
+                        d(st.co * st.patch_wpr) * kGemmNsPerWord + scale_acc) +
+              fire);
+    case StepKind::kBinDense:
+    case StepKind::kLogits:
+      return d(st.in_rows) *
+             (passes * (d(st.co * st.in_wpr) * kGemmNsPerWord + scale_acc) +
+              (st.kind == StepKind::kBinDense ? fire : 0.0));
+    case StepKind::kPool:
+      return d(st.out_rows * st.out_wpr * st.levels_in) * kPoolNsPerWord;
+    case StepKind::kFlatten:
+      return d(st.in_rows * st.in_wpr * st.levels_in) * kIm2rowNsPerWord;
+    case StepKind::kPackInput:
+    case StepKind::kUnpack:
+      break;  // serial loops, no fan-out
+  }
+  return 0.0;
+}
+
+/// clamp(estimate / kMinChunkNs, 1, workers + 1): the parts a step's
+/// regions may split into on a pool of `workers` threads plus the caller.
+std::int64_t fan_out_width(const PlanStep& st, std::int64_t workers) {
+  return static_cast<std::int64_t>(
+      std::clamp(estimate_step_ns(st) / kMinChunkNs, 1.0,
+                 static_cast<double>(workers + 1)));
 }
 
 }  // namespace
@@ -121,11 +196,15 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   // between compiles.
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_table();
   plan.kernel_level_ = kt.level;
+  // Every step replays on the global pool; size its fan-out for it.
+  const auto workers =
+      static_cast<std::int64_t>(parallel::ThreadPool::global().size());
 
   auto emit = [&](PlanStep st) {
     st.gemm_fn = kt.gemm;
     st.thresh_fn = kt.thresh;
     st.im2row_fn = kt.im2row;
+    st.width = fan_out_width(st, workers);
     if (st.dst_half >= 0)
       half_bytes[st.dst_half] = std::max(
           half_bytes[st.dst_half],

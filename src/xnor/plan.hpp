@@ -85,6 +85,12 @@ struct PlanStep {
   tensor::kernels::KernelFn gemm_fn = nullptr;
   tensor::kernels::KernelFn thresh_fn = nullptr;
   tensor::kernels::KernelFn im2row_fn = nullptr;
+  // Fan-out cap frozen at compile time from the step's estimated serial
+  // cost (ExecutionPlan::compile): every ThreadPool::for_chunks region of
+  // this step splits into at most `width` parts, and width 1 runs inline
+  // on the caller. Like FINN's per-layer folding, a layer gets parallel
+  // resources in proportion to its operation count.
+  std::int64_t width = 1;
 };
 
 /// Per-*stage* shape metadata (aligned with XnorNetwork::stages()), for

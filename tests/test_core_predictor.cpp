@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include <algorithm>
 
@@ -9,8 +8,11 @@
 #include "core/predictor.hpp"
 #include "facegen/dataset.hpp"
 #include "facegen/renderer.hpp"
+#include "test_helpers.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using namespace bcop;
 
@@ -118,8 +120,7 @@ TEST(Predictor, NonSquareImageThrows) {
 
 TEST(Predictor, FromFileRoundTrips) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 6);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "bcop_pred.bcop").string();
+  const auto path = unique_temp_path("pred.bcop");
   model.save(path);
 
   const core::Predictor a(core::build_bnn(core::ArchitectureId::kMicroCnv, 6));

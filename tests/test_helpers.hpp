@@ -1,11 +1,16 @@
-// Shared helpers for the test suite: random tensors and finite-difference
-// gradient checking of Layer implementations.
+// Shared helpers for the test suite: random tensors, finite-difference
+// gradient checking of Layer implementations, and collision-free temp
+// paths.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cctype>
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <string>
 
 #include "nn/layer.hpp"
 #include "tensor/tensor.hpp"
@@ -85,6 +90,21 @@ inline void check_param_gradients(nn::Layer& layer, const tensor::Tensor& x,
     }
     probe_loss(layer, x, seed);
   }
+}
+
+/// A temp-file path no other test can collide with. ctest runs every
+/// gtest case as its own process, in parallel under `ctest -j`, so a fixed
+/// name races; the pid plus the running test's full name plus `tag` does
+/// not. This is the only place tests may name a temp path (lint rule R11).
+inline std::string unique_temp_path(const std::string& tag) {
+  std::string name = "bcop_" + std::to_string(::getpid());
+  if (const auto* info =
+          ::testing::UnitTest::GetInstance()->current_test_info())
+    name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  name += "_" + tag;
+  for (char& ch : name)
+    if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '.') ch = '_';
+  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 }  // namespace bcop::testhelpers

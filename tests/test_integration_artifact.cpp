@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "core/architecture.hpp"
 #include "deploy/pipeline.hpp"
@@ -17,6 +16,8 @@
 #include "xnor/bitstream.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using namespace bcop;
 using tensor::Shape;
@@ -37,8 +38,7 @@ TEST(ArtifactIntegration, PipelineFromReloadedBitstreamIsBitExact) {
   }
 
   const xnor::XnorNetwork live = xnor::XnorNetwork::fold(model);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "bcop_pipe.bcbs").string();
+  const auto path = unique_temp_path("pipe.bcbs");
   xnor::save_bitstream(live, path);
   const xnor::XnorNetwork cold = xnor::load_bitstream(path);
 

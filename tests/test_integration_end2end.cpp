@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <numeric>
 
 #include "core/architecture.hpp"
@@ -16,8 +15,11 @@
 #include "facegen/dataset.hpp"
 #include "gradcam/attention.hpp"
 #include "gradcam/gradcam.hpp"
+#include "test_helpers.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using namespace bcop;
 
@@ -82,8 +84,7 @@ TEST_F(EndToEnd, PipelineAgreesWithEngineOnTestImages) {
 }
 
 TEST_F(EndToEnd, SaveLoadFoldPreservesPredictions) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "bcop_e2e.bcop").string();
+  const auto path = unique_temp_path("e2e.bcop");
   model_->save(path);
   core::Predictor loaded = core::Predictor::from_file(path);
   xnor::XnorNetwork net = xnor::XnorNetwork::fold(*model_);

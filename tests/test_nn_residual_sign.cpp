@@ -13,8 +13,11 @@
 #include "nn/sequential.hpp"
 #include "tensor/tensor.hpp"
 #include "util/serialize.hpp"
+#include "test_helpers.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using namespace bcop;
 using nn::ResidualSign;
@@ -131,8 +134,7 @@ TEST(ResidualSign, PostUpdateProjectsIntoTheFeasibleBox) {
 }
 
 TEST(ResidualSign, SaveLoadRoundTripsLevelsAndScales) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "bcop_rsgn_test.bin").string();
+  const std::string path = unique_temp_path("rsgn_test.bin");
   ResidualSign rs(3);
   rs.params()[0]->value[0] = 1.25f;
   rs.params()[0]->value[1] = 0.5f;

@@ -9,6 +9,8 @@
 
 namespace {
 
+using bcop::testhelpers::unique_temp_path;
+
 using namespace bcop;
 using tensor::Shape;
 using tensor::Tensor;
@@ -98,7 +100,7 @@ TEST(ScaledBinaryConv, SaveLoadRoundTrip) {
   util::Rng rng(5);
   nn::Sequential model;
   model.emplace<nn::ScaledBinaryConv2d>(3, 2, 4, rng);
-  const auto path = "/tmp/bcop_scaled.bcop";
+  const auto path = unique_temp_path("scaled.bcop");
   model.save(path);
   nn::Sequential loaded = nn::Sequential::load_file(path);
   EXPECT_STREQ(loaded.layer(0).type(), "ScaledBinaryConv2d");

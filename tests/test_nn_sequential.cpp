@@ -14,14 +14,12 @@
 
 namespace {
 
+using bcop::testhelpers::unique_temp_path;
+
 using namespace bcop;
 using bcop::tensor::Shape;
 using bcop::tensor::Tensor;
 using bcop::testhelpers::random_tensor;
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 nn::Sequential tiny_model(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -88,7 +86,7 @@ TEST(Sequential, SaveLoadRoundTripPreservesPredictions) {
   m.forward(x, true);
   const Tensor y_before = m.forward(x, false);
 
-  const std::string path = temp_path("bcop_model.bcop");
+  const std::string path = unique_temp_path("model.bcop");
   m.save(path);
   nn::Sequential loaded = nn::Sequential::load_file(path);
   EXPECT_EQ(loaded.name(), "tiny");
@@ -106,7 +104,7 @@ TEST(Sequential, FullArchitectureRoundTrips) {
   m.forward(x, true);  // warm BN stats
   const Tensor y_before = m.forward(x, false);
 
-  const std::string path = temp_path("bcop_ucnv.bcop");
+  const std::string path = unique_temp_path("ucnv.bcop");
   m.save(path);
   nn::Sequential loaded = nn::Sequential::load_file(path);
   const Tensor y_after = loaded.forward(x, false);
@@ -116,7 +114,7 @@ TEST(Sequential, FullArchitectureRoundTrips) {
 }
 
 TEST(Sequential, LoadRejectsCorruptMagic) {
-  const std::string path = temp_path("bcop_corrupt.bcop");
+  const std::string path = unique_temp_path("corrupt.bcop");
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTAMODELFILE___________";
@@ -127,7 +125,7 @@ TEST(Sequential, LoadRejectsCorruptMagic) {
 
 TEST(Sequential, LoadRejectsTruncatedFile) {
   nn::Sequential m = tiny_model(13);
-  const std::string path = temp_path("bcop_trunc.bcop");
+  const std::string path = unique_temp_path("trunc.bcop");
   m.save(path);
   // Truncate to half.
   const auto size = std::filesystem::file_size(path);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "parallel/affinity.hpp"
@@ -108,6 +109,45 @@ TEST(ParallelFor, SingleIndexRange) {
     ++counter;
   });
   EXPECT_EQ(counter.load(), 1);
+}
+
+// The fan-out cap of for_chunks: every index runs exactly once for any
+// cap, a region never splits into more parts than its cap (or than the
+// pool plus the caller), and a cap of 1 runs inline on the caller.
+TEST(ForChunks, CapBoundsPartsAndVisitsEveryIndexOnce) {
+  ThreadPool pool(3);
+  const std::int64_t full = static_cast<std::int64_t>(pool.size()) + 1;
+  struct Ctx {
+    std::vector<std::atomic<int>> hits;
+    std::atomic<int> chunks{0};
+    std::atomic<int> off_caller{0};
+    std::thread::id caller;
+  };
+  for (std::int64_t n = 1; n <= 9; ++n) {
+    for (const std::int64_t cap : {std::int64_t{1}, std::int64_t{2},
+                                   full - 1, full, ThreadPool::kFullWidth}) {
+      Ctx ctx{std::vector<std::atomic<int>>(static_cast<std::size_t>(n))};
+      ctx.caller = std::this_thread::get_id();
+      pool.for_chunks(
+          0, n,
+          [](void* raw, std::int64_t lo, std::int64_t hi) {
+            auto& c = *static_cast<Ctx*>(raw);
+            ++c.chunks;
+            if (std::this_thread::get_id() != c.caller) ++c.off_caller;
+            for (std::int64_t i = lo; i < hi; ++i)
+              ++c.hits[static_cast<std::size_t>(i)];
+          },
+          &ctx, cap);
+      for (const auto& h : ctx.hits)
+        EXPECT_EQ(h.load(), 1) << "n=" << n << " cap=" << cap;
+      EXPECT_LE(ctx.chunks.load(), std::min({n, cap, full}))
+          << "n=" << n << " cap=" << cap;
+      if (cap == 1) {
+        EXPECT_EQ(ctx.chunks.load(), 1) << "n=" << n;
+        EXPECT_EQ(ctx.off_caller.load(), 0) << "n=" << n;
+      }
+    }
+  }
 }
 
 TEST(GlobalPool, IsSingleton) {

@@ -3,8 +3,8 @@
 // synchronisation edge the unit tests in test_parallel.cpp touch only
 // once: repeated submit/wait_idle reuse, cross-thread visibility of
 // non-atomic writes after wait_idle, exception propagation under
-// contention, nested pools, destructor draining, and the zero-worker
-// inline mode.
+// contention, nested pools, destructor draining, the zero-worker inline
+// mode, and concurrent callers mixing capped-inline and full-width regions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,6 +112,45 @@ TEST(ThreadPoolStress, ZeroWorkerPoolDegradesInline) {
                               throw std::logic_error("inline boom");
                             }),
                std::logic_error);
+}
+
+TEST(ThreadPoolStress, ConcurrentCallersMixInlineAndFullWidth) {
+  // Four callers share one pool: even callers cap their regions at 1
+  // (inline, no region lock), odd callers fan out over every worker.
+  // Each caller writes plain ints into its own buffer, so a missing
+  // happens-before edge between a chunk and its caller is a TSan report,
+  // and an inline region that touched the pool's lock or queue would
+  // interleave with the wide ones.
+  ThreadPool pool(3);
+  ThreadPool callers(4);
+  constexpr std::int64_t kLen = 257;
+  struct Ctx {
+    std::vector<int> out = std::vector<int>(kLen, 0);
+    int round = 0;
+  };
+  std::vector<Ctx> ctxs(4);
+  std::atomic<int> bad{0};
+  for (int t = 0; t < 4; ++t) {
+    callers.submit([&pool, &ctxs, &bad, t] {
+      Ctx& ctx = ctxs[static_cast<std::size_t>(t)];
+      const std::int64_t cap = t % 2 == 0 ? 1 : ThreadPool::kFullWidth;
+      for (int round = 1; round <= 200; ++round) {
+        ctx.round = round;
+        pool.for_chunks(
+            0, kLen,
+            [](void* raw, std::int64_t lo, std::int64_t hi) {
+              auto& c = *static_cast<Ctx*>(raw);
+              for (std::int64_t i = lo; i < hi; ++i)
+                c.out[static_cast<std::size_t>(i)] = c.round;
+            },
+            &ctx, cap);
+        for (const int v : ctx.out)
+          if (v != round) bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  callers.wait_idle();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ThreadPoolStress, ChunkedBodySeesDisjointRanges) {

@@ -1,19 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "util/image.hpp"
 #include "util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
-using bcop::util::Image;
+using bcop::testhelpers::unique_temp_path;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using bcop::util::Image;
 
 TEST(Image, ConstructionAndAccess) {
   Image img(4, 6, 0.25f);
@@ -53,7 +51,7 @@ TEST(Ppm, RoundTripQuantizesTo8Bit) {
   bcop::util::Rng rng(1);
   Image img(16, 24);
   for (auto& v : img.data()) v = static_cast<float>(rng.uniform());
-  const std::string path = temp_path("bcop_roundtrip.ppm");
+  const std::string path = unique_temp_path("roundtrip.ppm");
   bcop::util::write_ppm(path, img);
   const Image back = bcop::util::read_ppm(path);
   ASSERT_EQ(back.height(), 16);
@@ -67,7 +65,7 @@ TEST(Ppm, ExactRoundTripFor8BitValues) {
   Image img(2, 2);
   img.set_rgb(0, 0, 0.f, 1.f, 128.f / 255.f);
   img.set_rgb(1, 1, 17.f / 255.f, 200.f / 255.f, 255.f / 255.f);
-  const std::string path = temp_path("bcop_exact.ppm");
+  const std::string path = unique_temp_path("exact.ppm");
   bcop::util::write_ppm(path, img);
   const Image back = bcop::util::read_ppm(path);
   for (std::size_t i = 0; i < img.data().size(); ++i)
@@ -81,7 +79,7 @@ TEST(Ppm, MissingFileThrows) {
 }
 
 TEST(Ppm, MalformedMagicThrows) {
-  const std::string path = temp_path("bcop_bad.ppm");
+  const std::string path = unique_temp_path("bad.ppm");
   {
     std::ofstream out(path);
     out << "P3\n2 2\n255\n";
@@ -91,7 +89,7 @@ TEST(Ppm, MalformedMagicThrows) {
 }
 
 TEST(Ppm, TruncatedPixelDataThrows) {
-  const std::string path = temp_path("bcop_trunc.ppm");
+  const std::string path = unique_temp_path("trunc.ppm");
   {
     std::ofstream out(path, std::ios::binary);
     out << "P6\n4 4\n255\n";
@@ -102,7 +100,7 @@ TEST(Ppm, TruncatedPixelDataThrows) {
 }
 
 TEST(Pgm, WritesHeaderAndPayload) {
-  const std::string path = temp_path("bcop_gray.pgm");
+  const std::string path = unique_temp_path("gray.pgm");
   bcop::util::write_pgm(path, {0.f, 0.5f, 1.f, 0.25f}, 2, 2);
   std::ifstream in(path, std::ios::binary);
   std::string magic;
@@ -112,8 +110,9 @@ TEST(Pgm, WritesHeaderAndPayload) {
 }
 
 TEST(Pgm, SizeMismatchThrows) {
-  EXPECT_THROW(bcop::util::write_pgm(temp_path("x.pgm"), {0.f, 1.f}, 2, 2),
-               std::invalid_argument);
+  EXPECT_THROW(
+      bcop::util::write_pgm(unique_temp_path("x.pgm"), {0.f, 1.f}, 2, 2),
+      std::invalid_argument);
 }
 
 }  // namespace

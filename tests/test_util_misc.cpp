@@ -2,7 +2,6 @@
 
 #include <condition_variable>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -13,8 +12,11 @@
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/thread_annotations.hpp"
+#include "test_helpers.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using bcop::util::Args;
 using bcop::util::AsciiTable;
@@ -71,8 +73,7 @@ TEST(Args, RejectsMissingValue) {
 }
 
 TEST(Csv, WritesHeaderAndEscapes) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "bcop_test.csv").string();
+  const auto path = unique_temp_path("test.csv");
   {
     CsvWriter csv(path, {"name", "value"});
     csv.row({"plain", "1"});
@@ -93,8 +94,7 @@ TEST(Csv, WritesHeaderAndEscapes) {
 }
 
 TEST(Csv, ArityMismatchThrows) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "bcop_arity.csv").string();
+  const auto path = unique_temp_path("arity.csv");
   CsvWriter csv(path, {"a", "b"});
   EXPECT_THROW(csv.row({"only-one"}), std::invalid_argument);
   std::remove(path.c_str());

@@ -1,22 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "util/serialize.hpp"
+#include "test_helpers.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using bcop::util::BinaryReader;
 using bcop::util::BinaryWriter;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(Serialize, RoundTripAllTypes) {
-  const std::string path = temp_path("bcop_ser.bin");
+  const std::string path = unique_temp_path("ser.bin");
   {
     BinaryWriter w(path);
     w.write_tag("HEAD");
@@ -45,7 +43,7 @@ TEST(Serialize, RoundTripAllTypes) {
 }
 
 TEST(Serialize, TagMismatchThrowsWithBothTags) {
-  const std::string path = temp_path("bcop_tag.bin");
+  const std::string path = unique_temp_path("tag.bin");
   {
     BinaryWriter w(path);
     w.write_tag("AAAA");
@@ -64,7 +62,7 @@ TEST(Serialize, TagMismatchThrowsWithBothTags) {
 }
 
 TEST(Serialize, TruncatedFileThrows) {
-  const std::string path = temp_path("bcop_short.bin");
+  const std::string path = unique_temp_path("short.bin");
   {
     BinaryWriter w(path);
     w.write_u32(1);
@@ -76,7 +74,7 @@ TEST(Serialize, TruncatedFileThrows) {
 }
 
 TEST(Serialize, AbsurdArrayLengthRejected) {
-  const std::string path = temp_path("bcop_huge.bin");
+  const std::string path = unique_temp_path("huge.bin");
   {
     BinaryWriter w(path);
     w.write_u64(1ull << 40);  // claims a 2^40-element array
@@ -96,7 +94,7 @@ TEST(Serialize, UnwritablePathThrows) {
 }
 
 TEST(Serialize, EmptyArraysRoundTrip) {
-  const std::string path = temp_path("bcop_empty.bin");
+  const std::string path = unique_temp_path("empty.bin");
   {
     BinaryWriter w(path);
     w.write_f32_array({});

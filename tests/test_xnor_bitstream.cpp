@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <typeinfo>
 
 #include "core/architecture.hpp"
 #include "facegen/dataset.hpp"
@@ -10,15 +12,14 @@
 #include "nn/optimizer.hpp"
 #include "nn/softmax_xent.hpp"
 #include "test_helpers.hpp"
+#include "util/serialize.hpp"
 #include "xnor/bitstream.hpp"
 
 namespace {
 
-using namespace bcop;
+using bcop::testhelpers::unique_temp_path;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using namespace bcop;
 
 xnor::XnorNetwork trained_ish_network(std::uint64_t seed) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, seed);
@@ -37,7 +38,7 @@ xnor::XnorNetwork trained_ish_network(std::uint64_t seed) {
 
 TEST(Bitstream, RoundTripPreservesLogitsExactly) {
   const xnor::XnorNetwork net = trained_ish_network(1);
-  const std::string path = temp_path("bcop_test.bcbs");
+  const std::string path = unique_temp_path("test.bcbs");
   xnor::save_bitstream(net, path);
   const xnor::XnorNetwork loaded = xnor::load_bitstream(path);
 
@@ -80,7 +81,7 @@ TEST(Bitstream, ResidualRoundTripPreservesLogitsAtEveryLevelCap) {
   const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
   ASSERT_EQ(net.max_levels(), 3);
 
-  const std::string path = temp_path("bcop_residual.bcbs");
+  const std::string path = unique_temp_path("residual.bcbs");
   xnor::save_bitstream(net, path);
   const xnor::XnorNetwork loaded = xnor::load_bitstream(path);
   EXPECT_EQ(loaded.max_levels(), 3);
@@ -100,7 +101,7 @@ TEST(Bitstream, ResidualRoundTripPreservesLogitsAtEveryLevelCap) {
 
 TEST(Bitstream, WeightBitsSurviveRoundTrip) {
   const xnor::XnorNetwork net = trained_ish_network(3);
-  const std::string path = temp_path("bcop_bits.bcbs");
+  const std::string path = unique_temp_path("bits.bcbs");
   xnor::save_bitstream(net, path);
   const xnor::XnorNetwork loaded = xnor::load_bitstream(path);
   EXPECT_EQ(loaded.weight_bits(), net.weight_bits());
@@ -108,7 +109,7 @@ TEST(Bitstream, WeightBitsSurviveRoundTrip) {
 
 TEST(Bitstream, ArtifactIsCompact) {
   const xnor::XnorNetwork net = trained_ish_network(4);
-  const std::string path = temp_path("bcop_size.bcbs");
+  const std::string path = unique_temp_path("size.bcbs");
   xnor::save_bitstream(net, path);
   const auto bytes = std::filesystem::file_size(path);
   // Packed weights + 64-bit thresholds; must be well under the float model.
@@ -118,7 +119,7 @@ TEST(Bitstream, ArtifactIsCompact) {
 }
 
 TEST(Bitstream, CorruptMagicRejected) {
-  const std::string path = temp_path("bcop_corrupt.bcbs");
+  const std::string path = unique_temp_path("corrupt.bcbs");
   {
     std::ofstream out(path, std::ios::binary);
     out << "JUNKJUNKJUNKJUNK";
@@ -129,12 +130,78 @@ TEST(Bitstream, CorruptMagicRejected) {
 
 TEST(Bitstream, TruncationRejected) {
   const xnor::XnorNetwork net = trained_ish_network(5);
-  const std::string path = temp_path("bcop_trunc.bcbs");
+  const std::string path = unique_temp_path("trunc.bcbs");
   xnor::save_bitstream(net, path);
   std::filesystem::resize_file(path, std::filesystem::file_size(path) / 3);
   EXPECT_THROW(xnor::load_bitstream(path), std::runtime_error);
   std::remove(path.c_str());
 }
+
+// Hostile headers: counts and dimensions that would size an allocation
+// before any byte check. Each must surface as the loader's documented
+// std::runtime_error -- never std::length_error (reserve of 2^61 stages),
+// std::bad_alloc or std::invalid_argument (negative dimensions).
+struct HostileHeader {
+  const char* name;
+  std::uint64_t stage_count, k, bits_rows, bank_count;
+};
+
+class BitstreamHostileHeader : public ::testing::TestWithParam<HostileHeader> {
+};
+
+TEST_P(BitstreamHostileHeader, ThrowsRuntimeError) {
+  const HostileHeader& h = GetParam();
+  const std::string path = unique_temp_path("hostile.bcbs");
+  {
+    // One 1x1x1 binary conv with a two-level residual section, in the v2
+    // layout save_bitstream writes, with the parameter's fields swapped in.
+    util::BinaryWriter w(path);
+    w.write_tag("BCBS");
+    w.write_u32(2);
+    w.write_string("hostile");
+    w.write_u64(h.stage_count);
+    w.write_tag("BCNV");
+    w.write_u64(h.k);
+    w.write_u64(1);  // ci
+    w.write_u64(1);  // co
+    w.write_tag("BITS");
+    w.write_u64(h.bits_rows);
+    w.write_u64(1);  // cols
+    w.write_u64_array({1});
+    w.write_tag("THRS");
+    w.write_u64_array({0});
+    w.write_i32_array({0});
+    w.write_tag("RSDL");
+    w.write_u64(2);  // levels
+    w.write_i32_array({});
+    w.write_u64(h.bank_count);
+    w.close();
+  }
+  try {
+    (void)xnor::load_bitstream(path);
+    ADD_FAILURE() << h.name << ": loaded without an error";
+  } catch (const std::runtime_error&) {
+    // the documented error
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << h.name << ": threw a stray " << typeid(e).name() << ": "
+                  << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+constexpr std::uint64_t kHuge = std::uint64_t{1} << 61;
+constexpr std::uint64_t kMinusOne = ~std::uint64_t{0};
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, BitstreamHostileHeader,
+    ::testing::Values(HostileHeader{"huge_stage_count", kHuge, 1, 1, 2},
+                      HostileHeader{"huge_bank_count", 1, 1, 1, kHuge},
+                      HostileHeader{"negative_kernel", 1, kMinusOne, 1, 2},
+                      HostileHeader{"negative_bits_rows", 1, 1, kMinusOne, 2},
+                      HostileHeader{"huge_bits_rows", 1, 1, kHuge, 2}),
+    [](const ::testing::TestParamInfo<HostileHeader>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Bitstream, EmptyNetworkRejected) {
   EXPECT_THROW(xnor::XnorNetwork("empty", {}), std::invalid_argument);

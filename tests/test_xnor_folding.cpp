@@ -3,6 +3,7 @@
 // this is the exactness the paper's hardware relies on (Sec. III-A).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -10,8 +11,11 @@
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "xnor/folding.hpp"
+#include "test_helpers.hpp"
 
 namespace {
+
+using bcop::testhelpers::unique_temp_path;
 
 using namespace bcop;
 using xnor::bn_sign_predicate;
@@ -26,7 +30,8 @@ nn::BatchNorm make_bn(const std::vector<float>& gamma,
                       const std::vector<float>& var) {
   // Running statistics have no public setter (they are training state), so
   // build the layer through its serialized form.
-  util::BinaryWriter w("/tmp/bcop_test_bn.bin");
+  const std::string path = unique_temp_path("bn.bin");
+  util::BinaryWriter w(path);
   w.write_tag("BNRM");
   w.write_u64(gamma.size());
   w.write_f32(1e-5f);
@@ -36,9 +41,10 @@ nn::BatchNorm make_bn(const std::vector<float>& gamma,
   w.write_f32_array(mean);
   w.write_f32_array(var);
   w.close();
-  util::BinaryReader r("/tmp/bcop_test_bn.bin");
+  util::BinaryReader r(path);
   nn::BatchNorm out;
   out.load(r);
+  std::remove(path.c_str());
   return out;
 }
 

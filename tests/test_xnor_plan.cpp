@@ -1,13 +1,15 @@
 // ExecutionPlan / Workspace unit tests: the compile() geometry, the plan
 // cache, arena sizing/alignment, the detail::execute entry point, and the
-// partial-network (Unpack) path.
+// partial-network (Unpack) path, and the per-step fan-out widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "xnor/engine.hpp"
@@ -256,6 +258,98 @@ TEST(ExecutionPlanTest, CopiedNetworkKeepsWorking) {
     ASSERT_EQ(from_copy[i], expected[i]);
     ASSERT_EQ(from_moved[i], expected[i]);
   }
+}
+
+// ---- Fan-out widths (PlanStep::width) on n-CNV. ----
+
+// n-CNV's steps by layer, in plan order: first conv, conv1_2, pool,
+// conv2_1, conv2_2, pool, conv3_1, conv3_2, fc_1, fc_2, logits.
+std::vector<xnor::PlanStep> ncnv_steps(const XnorNetwork& net,
+                                       std::int64_t batch) {
+  return ExecutionPlan::compile(net, Shape{batch, 32, 32, 3}).steps();
+}
+
+std::vector<const xnor::PlanStep*> of_kind(
+    const std::vector<xnor::PlanStep>& steps, StepKind kind) {
+  std::vector<const xnor::PlanStep*> out;
+  for (const auto& st : steps)
+    if (st.kind == kind) out.push_back(&st);
+  return out;
+}
+
+const std::int64_t kFullWidth =
+    static_cast<std::int64_t>(parallel::ThreadPool::global().size()) + 1;
+
+XnorNetwork folded_ncnv(std::int64_t residual_levels = 1) {
+  nn::Sequential model =
+      core::build_bnn(core::ArchitectureId::kNCnv, 3, residual_levels);
+  return XnorNetwork::fold(model);
+}
+
+TEST(ExecutionPlanWidth, LargeBatchConvLayersFanOutOverThePool) {
+  const XnorNetwork net = folded_ncnv();
+  const auto steps = ncnv_steps(net, 32);
+  // The smallest of these steps (conv2_2) is estimated at ~170 us, worth
+  // full width on any pool of up to 8 threads.
+  const std::int64_t want = std::min<std::int64_t>(kFullWidth, 8);
+  const auto first = of_kind(steps, StepKind::kFirstConv);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_GE(first[0]->width, want);
+  const auto convs = of_kind(steps, StepKind::kBinConv);
+  ASSERT_EQ(convs.size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i)  // conv1_2, conv2_1, conv2_2
+    EXPECT_GE(convs[i]->width, want) << "conv step " << i;
+  for (const auto& st : steps) {
+    EXPECT_GE(st.width, 1);
+    EXPECT_LE(st.width, kFullWidth);
+  }
+}
+
+TEST(ExecutionPlanWidth, BatchOneSmallLayersRunInline) {
+  const XnorNetwork net = folded_ncnv();
+  const auto steps = ncnv_steps(net, 1);
+  const auto convs = of_kind(steps, StepKind::kBinConv);
+  ASSERT_EQ(convs.size(), 5u);
+  EXPECT_EQ(convs[3]->width, 1) << "conv3_1";
+  EXPECT_EQ(convs[4]->width, 1) << "conv3_2";
+  for (const StepKind kind :
+       {StepKind::kPool, StepKind::kBinDense, StepKind::kLogits}) {
+    const auto sel = of_kind(steps, kind);
+    ASSERT_FALSE(sel.empty());
+    for (const auto* st : sel)
+      EXPECT_EQ(st->width, 1) << "step kind " << static_cast<int>(kind);
+  }
+}
+
+TEST(ExecutionPlanWidth, WidthNeverShrinksAsTheBatchGrows) {
+  const XnorNetwork net = folded_ncnv();
+  const auto b1 = ncnv_steps(net, 1);
+  const auto b8 = ncnv_steps(net, 8);
+  const auto b32 = ncnv_steps(net, 32);
+  ASSERT_EQ(b1.size(), b8.size());
+  ASSERT_EQ(b1.size(), b32.size());
+  for (std::size_t i = 0; i < b1.size(); ++i) {
+    EXPECT_LE(b1[i].width, b8[i].width) << "step " << i;
+    EXPECT_LE(b8[i].width, b32[i].width) << "step " << i;
+  }
+}
+
+TEST(ExecutionPlanWidth, ResidualPlansSizeEveryStep) {
+  const XnorNetwork net = folded_ncnv(/*residual_levels=*/3);
+  const auto b1 = ncnv_steps(net, 1);
+  const auto b32 = ncnv_steps(net, 32);
+  ASSERT_EQ(b1.size(), b32.size());
+  for (std::size_t i = 0; i < b1.size(); ++i) {
+    EXPECT_GE(b1[i].width, 1) << "step " << i;
+    EXPECT_LE(b1[i].width, b32[i].width) << "step " << i;
+    EXPECT_LE(b32[i].width, kFullWidth) << "step " << i;
+  }
+  // M = 3 multiplies the conv work, so the b32 conv1_x/conv2_x steps fan
+  // out at least as wide as their classic counterparts.
+  const auto convs = of_kind(b32, StepKind::kBinConv);
+  ASSERT_EQ(convs.size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_GE(convs[i]->width, std::min<std::int64_t>(kFullWidth, 8));
 }
 
 }  // namespace
