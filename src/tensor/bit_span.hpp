@@ -92,17 +92,15 @@ void bit_im2row(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
 
 /// 2x2 stride-2 max pool in the bit domain (word-wise OR of four pixel
 /// bit-fields) into a span. Full-word stores. `max_parts` caps the pool
-/// fan-out (ThreadPool::for_chunks; the default is every worker).
+/// fan-out (see ThreadPool::for_chunks).
 void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
-                std::int64_t w, BitSpan out,
-                std::int64_t max_parts = INT64_MAX);
+                std::int64_t w, BitSpan out, std::int64_t max_parts);
 
 /// Concatenate the per-pixel bit-fields of each image into one flat row
 /// [N, ppi*C] (bit-domain Flatten) into a span. Zeroes destination rows
 /// before the OR-based path when C is not word-aligned. `max_parts` caps
 /// the fan-out as for pool2_bits.
 void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,
-                    std::int64_t c, BitSpan out,
-                    std::int64_t max_parts = INT64_MAX);
+                    std::int64_t c, BitSpan out, std::int64_t max_parts);
 
 }  // namespace bcop::tensor

@@ -116,8 +116,6 @@ ResidualSpec read_residual(BinaryReader& r) {
   const std::uint64_t banks = r.read_u64();
   if (banks != (std::uint64_t{1} << spec.levels) - 2)
     throw std::runtime_error("bitstream: residual bank count mismatch");
-  // A bank is at least its tag and two array lengths.
-  check_count(r, banks, 4 + 2 * sizeof(std::uint64_t), "threshold bank");
   spec.extra_banks.reserve(banks);
   for (std::uint64_t b = 0; b < banks; ++b)
     spec.extra_banks.push_back(read_thresholds(r));

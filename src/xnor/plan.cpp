@@ -36,34 +36,35 @@ std::size_t bits_bytes(std::int64_t rows, std::int64_t cols) {
 
 // ---- Fan-out cost model (PlanStep::width). ----
 //
-// A step's cost is its units of kernel work priced at the per-unit ns of
-// the traced perfbench b32 per-step table of n-CNV (StageProfiler self
-// ns/image, every region at full width, 4-thread AVX-512 host), divided
-// by the units/image summed over the layers:
-//   first conv  15355 ns / (900 rows x 432 MACs)             = 0.0395 ns/MAC
-//   im2row      14761 ns / 9342 words (k^2 x in_wpr per row)  = 1.58 ns/word
-//   GEMM        12980 ns / 70912 words (co x wpr per row)     = 0.183 ns/word
-//   thresholds   7041 ns / 20992 output channels              = 0.335 ns/ch
-//   pool         2065 ns / 221 words (wpr per row)            = 9.34 ns/word
+// A step's serial cost is its units of kernel work priced at per-unit
+// single-thread ns. The prices come from a traced perfbench b32 run of
+// n-CNV with every step's width forced to 1 (StageProfiler self
+// ns/image, 4-vCPU AVX-512 host), divided by the units/image summed over
+// the layers:
+//   first conv  52767 ns / (900 rows x 432 MACs)             = 0.136 ns/MAC
+//   im2row      40956 ns / 9342 words (k^2 x in_wpr per row)  = 4.38 ns/word
+//   GEMM        36751 ns / 70912 words (co x wpr per row)     = 0.518 ns/word
+//   thresholds   8178 ns / 20992 output channels              = 0.390 ns/ch
+//   pool         2362 ns / 221 words (wpr per row)            = 10.7 ns/word
 // Residual scale-accumulate and pattern-bank firing take the threshold
 // form and rate, per output channel and plane; flatten is a word gather
 // like im2row. Per-row overheads dominate im2row and pool, hence their
-// large per-word figures. Cross-check: single-thread rates from the same
-// table with fan-out disabled (0.136 / 4.4 / 0.52 / 0.39 / 10.7) against
-// twice the fork-join of an idle pool (~25 us, so a 50 us minimum) pick
-// the same n-CNV widths at batches 1, 8 and 32, except the first pool at
-// b32 (1 instead of 2). Constants, not options: a wrong guess moves a
-// step between inline and parallel, never changes its result.
-constexpr double kFirstConvNsPerMac = 0.0395;
-constexpr double kIm2rowNsPerWord = 1.58;
-constexpr double kGemmNsPerWord = 0.183;
-constexpr double kThreshNsPerChannel = 0.335;
-constexpr double kPoolNsPerWord = 9.34;
+// large per-word figures. Serial prices make the width independent of
+// the pool size: a step splits into one part per kMinChunkNs of serial
+// work, capped at the pool. Constants, not options: a wrong guess moves
+// a step between inline and parallel, never changes its result.
+constexpr double kFirstConvNsPerMac = 0.136;
+constexpr double kIm2rowNsPerWord = 4.38;
+constexpr double kGemmNsPerWord = 0.518;
+constexpr double kThreshNsPerChannel = 0.390;
+constexpr double kPoolNsPerWord = 10.7;
 // Each part must carry about twice the fork-join perfbench measures on
-// the same host (parallel.fork_join_us ~9-10 us) to pay for its worker.
+// the same host (parallel.fork_join_us ~10 us) of serial work to pay for
+// waking its worker.
 constexpr double kMinChunkNs = 20000.0;
 
-/// Estimated ns of one replay of `st` (all its regions), priced as above.
+/// Estimated serial ns of one replay of `st` (all its regions), priced as
+/// above.
 double estimate_step_ns(const PlanStep& st) {
   const auto d = [](std::int64_t v) { return static_cast<double>(v); };
   // GEMM steps fed by a scaled residual stream run one pass per plane,

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/im2row.hpp"
@@ -109,7 +110,8 @@ TEST(BitSpan, Pool2IsBooleanOrOfTheWindow) {
     const auto src = random_signs(n * h * w * c, rng);
     const BitMatrix pixels = pack_matrix(src.data(), n * h * w, c);
     DirtyBits dirty(n * (h / 2) * (w / 2), c);
-    pool2_bits(span_of(pixels), n, h, w, dirty.span);
+    pool2_bits(span_of(pixels), n, h, w, dirty.span,
+               bcop::parallel::ThreadPool::kFullWidth);
     BitMatrix want(n * (h / 2) * (w / 2), c);
     for (std::int64_t nn = 0; nn < n; ++nn)
       for (std::int64_t y = 0; y < h / 2; ++y)
@@ -134,7 +136,8 @@ TEST(BitSpan, FlattenMatchesFloatOrderOnDirtyBuffer) {
     const auto src = random_signs(n * ppi * c, rng);
     const BitMatrix pixels = pack_matrix(src.data(), n * ppi, c);
     DirtyBits dirty(n, ppi * c);
-    flatten_pixels(span_of(pixels), n, ppi, c, dirty.span);
+    flatten_pixels(span_of(pixels), n, ppi, c, dirty.span,
+                   bcop::parallel::ThreadPool::kFullWidth);
     // The float-domain Flatten is a plain reshape, so packing the same
     // floats as [n, ppi*c] is the ground truth.
     expect_same_bits(dirty.span, pack_matrix(src.data(), n, ppi * c));

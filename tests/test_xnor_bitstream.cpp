@@ -140,7 +140,9 @@ TEST(Bitstream, TruncationRejected) {
 // Hostile headers: counts and dimensions that would size an allocation
 // before any byte check. Each must surface as the loader's documented
 // std::runtime_error -- never std::length_error (reserve of 2^61 stages),
-// std::bad_alloc or std::invalid_argument (negative dimensions).
+// std::bad_alloc or std::invalid_argument (negative dimensions). The bank
+// count row is caught by the bank-count-equals-2^levels-2 check, which
+// bounds it before its reserve; the row keeps that check covered.
 struct HostileHeader {
   const char* name;
   std::uint64_t stage_count, k, bits_rows, bank_count;

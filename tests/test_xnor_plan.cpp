@@ -289,8 +289,8 @@ XnorNetwork folded_ncnv(std::int64_t residual_levels = 1) {
 TEST(ExecutionPlanWidth, LargeBatchConvLayersFanOutOverThePool) {
   const XnorNetwork net = folded_ncnv();
   const auto steps = ncnv_steps(net, 32);
-  // The smallest of these steps (conv2_2) is estimated at ~170 us, worth
-  // full width on any pool of up to 8 threads.
+  // The smallest of these steps (conv2_2) is estimated at ~430 us of
+  // serial work, worth full width on any pool of up to 8 threads.
   const std::int64_t want = std::min<std::int64_t>(kFullWidth, 8);
   const auto first = of_kind(steps, StepKind::kFirstConv);
   ASSERT_EQ(first.size(), 1u);
