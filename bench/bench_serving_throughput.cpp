@@ -1,17 +1,16 @@
 // Serving-path throughput: batched bit-domain inference vs the single-image
-// engine path, plus request-coalescing server latency percentiles.
+// engine path.
 //
 // The paper's accelerator reaches its headline FPS (Table II) only with a
 // full pipeline -- a stream of frames. This bench shows the CPU analogue:
 // XnorNetwork::forward_batch amortizes packing and weight traffic over the
-// batch, and the serve::BatchingServer turns independent requests into such
-// batches under a bounded latency budget. Reported per prototype:
+// batch. The serving stack around it (serve::BatchingServer behind HTTP)
+// is measured end to end by bench_capacity. Reported per prototype:
 //   - single-image FPS (XnorNetwork::forward, the pre-batching baseline)
 //   - batched FPS for batch sizes 1..32 (one XNOR GEMM per layer per batch)
 //   - steady-state heap allocations per forward_batch call on the explicit
 //     Workspace path (this binary links the operator-new interposer of
 //     util/allocmeter.hpp; the engine's contract is exactly 0)
-//   - server FPS with p50/p99 request latency
 //   - the analytical accelerator FPS model for context
 // A JSON artifact is written for trend tracking (default
 // bench_artifacts/serving_throughput.json).
@@ -20,11 +19,10 @@
 // larger sample counts. --check-allocs exits non-zero if any measured
 // steady state allocates (the WORKSPACE_BENCH=1 stage of reproduce_all.sh).
 //
-// The obs registry is reset per prototype and snapshotted after the server
+// The obs registry is reset per prototype and snapshotted after the batched
 // phase, so the artifact carries the full per-stage telemetry (interpreter
-// step/sub-phase histograms keyed by plan shape, server queue/batch/latency
-// metrics) under a "metrics" key, and a per-stage breakdown table is
-// printed. --metrics <path> additionally writes the final snapshot in
+// step/sub-phase histograms keyed by plan shape) under a "metrics" key, and
+// a per-stage breakdown table is printed. --metrics <path> additionally writes the final snapshot in
 // Prometheus text format (the METRICS_BENCH=1 stage of reproduce_all.sh).
 #include <algorithm>
 #include <chrono>
@@ -39,7 +37,6 @@
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/stage_profiler.hpp"
-#include "serve/batcher.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "util/allocmeter.hpp"
 #include "util/args.hpp"
@@ -65,13 +62,6 @@ tensor::Tensor random_images(std::int64_t n, util::Rng& rng) {
   for (std::int64_t i = 0; i < batch.numel(); ++i)
     batch[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   return batch;
-}
-
-double percentile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
 }
 
 struct BatchPoint {
@@ -115,7 +105,6 @@ int main(int argc, char** argv) {
     const std::string metrics_path = args.get("metrics", "");
     bool steady_state_allocated = false;
     const std::int64_t images_per_size = full ? 256 : 64;
-    const std::int64_t server_requests = full ? 256 : 64;
     const std::string out_path =
         args.get("out", "bench_artifacts/serving_throughput.json");
 
@@ -139,8 +128,7 @@ int main(int argc, char** argv) {
                 kernel_level,
                 full ? "full sample counts" : "quick mode (pass --full for larger samples)");
     util::AsciiTable t({"Config", "single FPS", "batch", "batched FPS",
-                        "speedup", "allocs/call", "server FPS", "p50 ms",
-                        "p99 ms", "accel FPS (model)"});
+                        "speedup", "allocs/call", "accel FPS (model)"});
 
     const core::ArchitectureId archs[] = {core::ArchitectureId::kCnv,
                                           core::ArchitectureId::kNCnv,
@@ -193,35 +181,6 @@ int main(int argc, char** argv) {
         points.push_back({b, fps, allocs});
       }
 
-      // Coalescing server: back-to-back submissions, per-request latency.
-      serve::BatcherConfig cfg;
-      cfg.workers = 2;
-      cfg.max_batch = 16;
-      cfg.max_latency = std::chrono::microseconds(2000);
-      double server_fps = 0, p50 = 0, p99 = 0;
-      std::int64_t server_batches = 0;
-      {
-        serve::BatchingServer server(predictor, cfg);
-        std::vector<std::future<core::Predictor::Result>> futures;
-        std::vector<Clock::time_point> submitted;
-        std::vector<double> latencies_ms;
-        const auto ts = Clock::now();
-        for (std::int64_t i = 0; i < server_requests; ++i) {
-          submitted.push_back(Clock::now());
-          futures.push_back(
-              server.submit(warmup.reshaped(tensor::Shape{32, 32, 3})));
-        }
-        for (std::int64_t i = 0; i < server_requests; ++i) {
-          futures[static_cast<std::size_t>(i)].get();
-          latencies_ms.push_back(
-              seconds_since(submitted[static_cast<std::size_t>(i)]) * 1e3);
-        }
-        server_fps = static_cast<double>(server_requests) / seconds_since(ts);
-        p50 = percentile(latencies_ms, 0.50);
-        p99 = percentile(latencies_ms, 0.99);
-        server_batches = server.stats().batches;
-      }
-
       const double accel_fps =
           deploy::analyze_performance(core::layer_specs(arch)).fps();
       snapshots.emplace_back(core::arch_name(arch),
@@ -239,14 +198,9 @@ int main(int argc, char** argv) {
                      static_cast<long long>(points[i].batch), points[i].fps,
                      points[i].allocs_per_call);
       std::fprintf(json,
-                   "],\n     \"server\": {\"workers\": %u, \"max_batch\": %lld, "
-                   "\"max_latency_us\": %lld, \"fps\": %.1f, \"p50_ms\": %.3f, "
-                   "\"p99_ms\": %.3f, \"batches\": %lld},\n"
-                   "     \"accelerator_model_fps\": %.1f,\n"
+                   "],\n     \"accelerator_model_fps\": %.1f,\n"
                    "     \"metrics\": %s}",
-                   cfg.workers, static_cast<long long>(cfg.max_batch),
-                   static_cast<long long>(cfg.max_latency.count()), server_fps,
-                   p50, p99, static_cast<long long>(server_batches), accel_fps,
+                   accel_fps,
                    obs::export_json(snapshots.back().second).c_str());
       first_arch = false;
 
@@ -256,9 +210,6 @@ int main(int argc, char** argv) {
                    std::to_string(points[i].batch), util::fmt(points[i].fps, 1),
                    util::fmt(points[i].fps / single_fps, 2) + "x",
                    util::fmt(points[i].allocs_per_call, 2),
-                   i == 0 ? util::fmt(server_fps, 1) : "",
-                   i == 0 ? util::fmt(p50, 2) : "",
-                   i == 0 ? util::fmt(p99, 2) : "",
                    i == 0 ? util::fmt(accel_fps, 0) : ""});
     }
 

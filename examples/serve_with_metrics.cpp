@@ -7,7 +7,7 @@
 //
 //   bcop_serve_submitted_total / bcop_serve_batches_total   traffic
 //   bcop_serve_queue_depth                                  backlog gauge
-//   bcop_serve_batch_size                                   coalescing
+//   bcop_serve_batch_size                                   batching
 //   bcop_serve_coalesce_wait_ns / bcop_serve_e2e_latency_ns latency
 //   bcop_exec_<shape>_<stage>_ns                            per-stage time
 //
@@ -19,9 +19,11 @@
 // training phase.
 //
 // Knobs: --arch cnv|ncnv|ucnv, --bursts N, --burst-size N, --workers N,
-// --max-batch N, --max-latency-us N. Try --workers 0 (synchronous mode:
-// every batch is size 1, coalesce wait 0) against the default to see the
-// coalescing histograms move.
+// --max-batch N. Batching is work-conserving, so a burst's batches form
+// from the backlog behind the batch being run: try --max-batch 1 against
+// the default to see bcop_serve_batch_size and the queue waits move. The
+// queue is sized to hold a whole burst, so nothing is shed.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -92,8 +94,7 @@ int main(int argc, char** argv) {
     serve::BatcherConfig cfg;
     cfg.workers = static_cast<unsigned>(args.get_int("workers", 2));
     cfg.max_batch = args.get_int("max-batch", 16);
-    cfg.max_latency =
-        std::chrono::microseconds(args.get_int("max-latency-us", 2000));
+    cfg.queue_capacity = std::max<std::int64_t>(cfg.queue_capacity, burst_size);
 
     // Untrained weights: the observability story is about timing, and the
     // plan interpreter's cost does not depend on the weight values.
@@ -103,10 +104,9 @@ int main(int argc, char** argv) {
 
     util::Rng rng(0x0b5e);
     std::printf("serving %s: %d bursts x %d requests "
-                "(workers=%u, max_batch=%lld, max_latency=%lldus)\n",
+                "(workers=%u, max_batch=%lld)\n",
                 core::arch_name(arch), bursts, burst_size, cfg.workers,
-                static_cast<long long>(cfg.max_batch),
-                static_cast<long long>(cfg.max_latency.count()));
+                static_cast<long long>(cfg.max_batch));
 
     for (int burst = 0; burst < bursts; ++burst) {
       std::vector<std::future<core::Predictor::Result>> futures;
@@ -116,8 +116,9 @@ int main(int argc, char** argv) {
             rng.uniform_int(0, facegen::kNumClasses - 1));
         const auto rendered =
             facegen::render_face(facegen::sample_attributes(cls, rng));
-        futures.push_back(server.submit(
-            facegen::MaskedFaceDataset::image_to_tensor(rendered.image)));
+        tensor::Tensor image =
+            facegen::MaskedFaceDataset::image_to_tensor(rendered.image);
+        futures.push_back(server.try_submit(std::move(image)).value());
       }
       for (auto& f : futures) f.get();
       std::printf("\n--- after burst %d/%d ---\n", burst + 1, bursts);

@@ -175,15 +175,19 @@ void BatchNorm::load(util::BinaryReader& r) {
   channels_ = static_cast<std::int64_t>(r.read_u64());
   eps_ = r.read_f32();
   momentum_ = r.read_f32();
+  std::vector<float> gamma = r.read_f32_array();
+  std::vector<float> beta = r.read_f32_array();
+  std::vector<float> mean = r.read_f32_array();
+  std::vector<float> var = r.read_f32_array();
+  const std::int64_t n = util::checked_numel({channels_});
+  for (const auto* a : {&gamma, &beta, &mean, &var})
+    if (static_cast<std::int64_t>(a->size()) != n)
+      throw std::runtime_error("BatchNorm::load: array size mismatch");
   *this = BatchNorm(channels_, eps_, momentum_);
-  gamma_.value.storage() = r.read_f32_array();
-  beta_.value.storage() = r.read_f32_array();
-  running_mean_.storage() = r.read_f32_array();
-  running_var_.storage() = r.read_f32_array();
-  const auto n = static_cast<std::size_t>(channels_);
-  if (gamma_.value.storage().size() != n || beta_.value.storage().size() != n ||
-      running_mean_.storage().size() != n || running_var_.storage().size() != n)
-    throw std::runtime_error("BatchNorm::load: array size mismatch");
+  gamma_.value.storage() = std::move(gamma);
+  beta_.value.storage() = std::move(beta);
+  running_mean_.storage() = std::move(mean);
+  running_var_.storage() = std::move(var);
 }
 
 }  // namespace bcop::nn

@@ -70,10 +70,11 @@ void BinaryDense::load(util::BinaryReader& r) {
   r.expect_tag("BDNS");
   in_ = static_cast<std::int64_t>(r.read_u64());
   out_ = static_cast<std::int64_t>(r.read_u64());
-  weight_.value = Tensor(Shape{in_, out_});
-  weight_.value.storage() = r.read_f32_array();
-  if (weight_.value.storage().size() != static_cast<std::size_t>(in_ * out_))
+  std::vector<float> w = r.read_f32_array();
+  if (util::checked_numel({in_, out_}) != static_cast<std::int64_t>(w.size()))
     throw std::runtime_error("BinaryDense::load: weight size mismatch");
+  weight_.value = Tensor(Shape{in_, out_});
+  weight_.value.storage() = std::move(w);
 }
 
 }  // namespace bcop::nn

@@ -82,14 +82,16 @@ void Conv2d::load(util::BinaryReader& r) {
   k_ = static_cast<std::int64_t>(r.read_u64());
   in_ch_ = static_cast<std::int64_t>(r.read_u64());
   out_ch_ = static_cast<std::int64_t>(r.read_u64());
-  weight_.value = Tensor(Shape{k_ * k_ * in_ch_, out_ch_});
-  weight_.value.storage() = r.read_f32_array();
-  bias_.value = Tensor(Shape{out_ch_});
-  bias_.value.storage() = r.read_f32_array();
-  if (weight_.value.storage().size() !=
-          static_cast<std::size_t>(k_ * k_ * in_ch_ * out_ch_) ||
-      bias_.value.storage().size() != static_cast<std::size_t>(out_ch_))
+  std::vector<float> w = r.read_f32_array();
+  std::vector<float> b = r.read_f32_array();
+  if (util::checked_numel({k_, k_, in_ch_, out_ch_}) !=
+          static_cast<std::int64_t>(w.size()) ||
+      util::checked_numel({out_ch_}) != static_cast<std::int64_t>(b.size()))
     throw std::runtime_error("Conv2d::load: weight size mismatch");
+  weight_.value = Tensor(Shape{k_ * k_ * in_ch_, out_ch_});
+  weight_.value.storage() = std::move(w);
+  bias_.value = Tensor(Shape{out_ch_});
+  bias_.value.storage() = std::move(b);
 }
 
 }  // namespace bcop::nn

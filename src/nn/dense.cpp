@@ -67,13 +67,15 @@ void Dense::load(util::BinaryReader& r) {
   r.expect_tag("DNSE");
   in_ = static_cast<std::int64_t>(r.read_u64());
   out_ = static_cast<std::int64_t>(r.read_u64());
-  weight_.value = Tensor(Shape{in_, out_});
-  weight_.value.storage() = r.read_f32_array();
-  bias_.value = Tensor(Shape{out_});
-  bias_.value.storage() = r.read_f32_array();
-  if (weight_.value.storage().size() != static_cast<std::size_t>(in_ * out_) ||
-      bias_.value.storage().size() != static_cast<std::size_t>(out_))
+  std::vector<float> w = r.read_f32_array();
+  std::vector<float> b = r.read_f32_array();
+  if (util::checked_numel({in_, out_}) != static_cast<std::int64_t>(w.size()) ||
+      util::checked_numel({out_}) != static_cast<std::int64_t>(b.size()))
     throw std::runtime_error("Dense::load: weight size mismatch");
+  weight_.value = Tensor(Shape{in_, out_});
+  weight_.value.storage() = std::move(w);
+  bias_.value = Tensor(Shape{out_});
+  bias_.value.storage() = std::move(b);
 }
 
 }  // namespace bcop::nn

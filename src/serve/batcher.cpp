@@ -28,17 +28,6 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// A future already carrying the rejection: the no-throw shutdown path of
-/// submit(). The caller's get() observes std::runtime_error, but submit
-/// itself never throws for load/lifecycle reasons (only for caller bugs
-/// like a mis-shaped image).
-std::future<Predictor::Result> rejected_future(const char* why) {
-  std::promise<Predictor::Result> promise;
-  auto future = promise.get_future();
-  promise.set_exception(std::make_exception_ptr(std::runtime_error(why)));
-  return future;
-}
-
 }  // namespace
 
 /// Server telemetry (naming scheme in docs/observability.md). The global
@@ -84,6 +73,7 @@ BatchingServer::BatchingServer(const Predictor& predictor,
              static_cast<long long>(config_.max_batch));
   BCOP_CHECK(config_.queue_capacity >= 1, "queue_capacity %lld must be >= 1",
              static_cast<long long>(config_.queue_capacity));
+  BCOP_CHECK(config_.workers >= 1, "workers %u must be >= 1", config_.workers);
   const Shape want = predictor_.network().expected_input_shape();
   if (want.rank() == 3) image_shape_ = want;
   Metrics::global();  // register before traffic so exports always list them
@@ -102,7 +92,6 @@ void BatchingServer::shutdown() {
     stopping_ = true;
   }
   cv_work_.notify_all();
-  cv_space_.notify_all();
   // Workers drain the queue before exiting, so every accepted request is
   // answered even when the server is shut down mid-burst. Idempotent: a
   // second call finds the pool already idle and returns immediately.
@@ -115,105 +104,19 @@ Tensor BatchingServer::normalize_rank(Tensor image) const {
     return image.reshaped(Shape{s[1], s[2], s[3]});
   if (s.rank() != 3) {
     each_metrics([](Metrics& m) { m.rejected.add(1); });
-    throw std::invalid_argument("BatchingServer::submit: image must be "
+    throw std::invalid_argument("BatchingServer::try_submit: image must be "
                                 "[S, S, C] or [1, S, S, C], got " + s.str());
   }
   return image;
-}
-
-std::future<Predictor::Result> BatchingServer::enqueue_locked(Tensor image) {
-  Request request;
-  request.image = std::move(image);
-  request.enqueued = std::chrono::steady_clock::now();
-  auto future = request.promise.get_future();
-  queue_.push_back(std::move(request));
-  ++stats_.requests;
-  // Gauge moves with the queue mutation it mirrors, inside the critical
-  // section (recording is lock-free, so this costs one relaxed fetch_add
-  // under the lock): a snapshot can no longer observe a pushed request
-  // with an un-bumped depth, or the transiently negative depth the old
-  // unlock-then-add ordering allowed when a worker drained first.
-  each_metrics([](Metrics& m) { m.queue_depth.add(1); });
-  return future;
-}
-
-std::future<Predictor::Result> BatchingServer::classify_inline(Tensor image) {
-  {
-    MutexLock lock(mutex_);
-    ++stats_.requests;
-    ++stats_.batches;
-    stats_.max_batch_seen = std::max<std::int64_t>(stats_.max_batch_seen, 1);
-  }
-  each_metrics([](Metrics& m) {
-    m.submitted.add(1);
-    m.batches.add(1);
-    m.batch_size.record(1);
-    m.coalesce_wait_ns.record(0);
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  std::promise<Predictor::Result> promise;
-  auto future = promise.get_future();
-  try {
-    const Shape& s = image.shape();
-    const Tensor batch = image.reshaped(Shape{1, s[0], s[1], s[2]});
-    promise.set_value(predictor_.classify_batch(batch).front());
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-  }
-  const std::uint64_t ns = ns_since(t0);
-  each_metrics([ns](Metrics& m) { m.e2e_latency_ns.record(ns); });
-  return future;
-}
-
-std::future<Predictor::Result> BatchingServer::submit(Tensor image) {
-  image = normalize_rank(std::move(image));
-  const Shape s = image.shape();
-  {
-    UniqueLock lock(mutex_);
-    if (image_shape_.rank() == 0) image_shape_ = s;
-    if (s != image_shape_) {
-      each_metrics([](Metrics& m) { m.rejected.add(1); });
-      throw std::invalid_argument("BatchingServer::submit: image " + s.str() +
-                                  " does not match the served model input " +
-                                  image_shape_.str());
-    }
-    // Shutdown is a lifecycle event, not a caller bug: report it through
-    // the future (no-throw admission, same discipline as try_submit's
-    // nullopt) so a drain racing a client cannot unwind the client.
-    if (stopping_) {
-      each_metrics([](Metrics& m) { m.rejected.add(1); });
-      return rejected_future("BatchingServer::submit: server is shutting down");
-    }
-
-    if (config_.workers != 0) {
-      // Back-pressure wait, written as an explicit loop over guarded state
-      // so the thread-safety analysis sees every access (predicate lambdas
-      // are opaque to it; see util/thread_annotations.hpp).
-      while (!stopping_ &&
-             static_cast<std::int64_t>(queue_.size()) >= config_.queue_capacity)
-        cv_space_.wait(lock.native());
-      if (stopping_) {
-        each_metrics([](Metrics& m) { m.rejected.add(1); });
-        return rejected_future(
-            "BatchingServer::submit: server is shutting down");
-      }
-      auto future = enqueue_locked(std::move(image));
-      lock.unlock();
-      each_metrics([](Metrics& m) { m.submitted.add(1); });
-      cv_work_.notify_one();
-      return future;
-    }
-  }
-  // Synchronous degenerate mode: no queue, classify on the caller.
-  return classify_inline(std::move(image));
 }
 
 std::optional<std::future<Predictor::Result>> BatchingServer::try_submit(
     Tensor image, std::int64_t max_depth) {
   image = normalize_rank(std::move(image));
   const Shape s = image.shape();
+  std::future<Predictor::Result> future;
   {
-    UniqueLock lock(mutex_);
+    MutexLock lock(mutex_);
     if (image_shape_.rank() == 0) image_shape_ = s;
     if (s != image_shape_) {
       each_metrics([](Metrics& m) { m.rejected.add(1); });
@@ -228,21 +131,27 @@ std::optional<std::future<Predictor::Result>> BatchingServer::try_submit(
       each_metrics([](Metrics& m) { m.rejected.add(1); });
       return std::nullopt;
     }
-    if (config_.workers != 0) {
-      std::int64_t limit = config_.queue_capacity;
-      if (max_depth >= 0) limit = std::min(limit, max_depth);
-      if (static_cast<std::int64_t>(queue_.size()) >= limit) {
-        each_metrics([](Metrics& m) { m.rejected.add(1); });
-        return std::nullopt;
-      }
-      auto future = enqueue_locked(std::move(image));
-      lock.unlock();
-      each_metrics([](Metrics& m) { m.submitted.add(1); });
-      cv_work_.notify_one();
-      return future;
+    std::int64_t limit = config_.queue_capacity;
+    if (max_depth >= 0) limit = std::min(limit, max_depth);
+    if (static_cast<std::int64_t>(queue_.size()) >= limit) {
+      each_metrics([](Metrics& m) { m.rejected.add(1); });
+      return std::nullopt;
     }
+    Request request;
+    request.image = std::move(image);
+    request.enqueued = std::chrono::steady_clock::now();
+    future = request.promise.get_future();
+    queue_.push_back(std::move(request));
+    ++stats_.requests;
+    // Gauge moves with the queue mutation it mirrors, inside the critical
+    // section (recording is lock-free, so this costs one relaxed fetch_add
+    // under the lock): a snapshot never observes a pushed request with an
+    // un-bumped depth, nor a transiently negative depth.
+    each_metrics([](Metrics& m) { m.queue_depth.add(1); });
   }
-  return classify_inline(std::move(image));
+  each_metrics([](Metrics& m) { m.submitted.add(1); });
+  cv_work_.notify_one();
+  return future;
 }
 
 std::int64_t BatchingServer::queue_depth() const {
@@ -266,23 +175,11 @@ void BatchingServer::worker_loop() {
     {
       UniqueLock lock(mutex_);
       while (!stopping_ && queue_.empty()) cv_work_.wait(lock.native());
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;  // spurious wake or another worker took the work
-      }
-      if (!stopping_ && config_.max_latency.count() > 0 &&
-          static_cast<std::int64_t>(queue_.size()) < config_.max_batch) {
-        // Coalescing window: hold the batch open until it fills or the
-        // oldest request has spent max_latency in the queue.
-        const auto deadline = queue_.front().enqueued + config_.max_latency;
-        while (!stopping_ &&
-               static_cast<std::int64_t>(queue_.size()) < config_.max_batch) {
-          if (cv_work_.wait_until(lock.native(), deadline) ==
-              std::cv_status::timeout)
-            break;
-        }
-      }
-      if (queue_.empty()) continue;
+      // Only a stopping server wakes to an empty queue: it is drained.
+      if (queue_.empty()) return;
+      // Work-conserving: take whatever is waiting, up to max_batch, and
+      // run it now. Under load the next batch forms from the requests
+      // that arrive while this one runs.
       const auto take = std::min<std::int64_t>(
           static_cast<std::int64_t>(queue_.size()), config_.max_batch);
       for (std::int64_t i = 0; i < take; ++i) {
@@ -291,7 +188,6 @@ void BatchingServer::worker_loop() {
       }
       each_metrics([take](Metrics& m) { m.queue_depth.add(-take); });
     }
-    cv_space_.notify_all();
     run_batch(std::move(batch), state);
   }
 }
@@ -299,8 +195,8 @@ void BatchingServer::worker_loop() {
 void BatchingServer::run_batch(std::deque<Request>&& batch,
                                WorkerState& state) {
   const auto b = static_cast<std::int64_t>(batch.size());
-  // How long the oldest member waited for the batch to ship: the cost of
-  // the coalescing window, bounded by config_.max_latency plus scheduling.
+  // How long the oldest member waited in the queue before a worker took
+  // it: the backlog behind earlier batches plus wake-up latency.
   const std::uint64_t wait_ns = ns_since(batch.front().enqueued);
   each_metrics([b, wait_ns](Metrics& m) {
     m.batches.add(1);
@@ -309,7 +205,7 @@ void BatchingServer::run_batch(std::deque<Request>&& batch,
   });
   const Shape& s = batch.front().image.shape();
   const Shape batch_shape{b, s[0], s[1], s[2]};
-  // Reuse the worker's coalescing buffer; it only reallocates when the
+  // Reuse the worker's batch input buffer; it only reallocates when the
   // batch size changes (steady traffic at a fixed size is allocation-free).
   if (state.input.shape() != batch_shape) state.input = Tensor(batch_shape);
   const std::int64_t stride = s.numel();
@@ -330,9 +226,11 @@ void BatchingServer::run_batch(std::deque<Request>&& batch,
                               state.results);
     for (std::int64_t i = 0; i < b; ++i) {
       Request& request = batch[static_cast<std::size_t>(i)];
-      request.promise.set_value(state.results[static_cast<std::size_t>(i)]);
+      // Histogram before promise, like stats_ above: a client whose get()
+      // returned must find its own request in e2e_latency_ns.
       const std::uint64_t e2e_ns = ns_since(request.enqueued);
       each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
+      request.promise.set_value(state.results[static_cast<std::size_t>(i)]);
     }
   } catch (...) {
     for (auto& request : batch)

@@ -1,4 +1,4 @@
-// Request-coalescing inference server: the software analogue of the
+// Request-batching inference server: the software analogue of the
 // paper's streaming accelerator pipeline.
 //
 // The FINN-style FPGA design reaches its ~6400 FPS (n-CNV, Table II) by
@@ -7,14 +7,14 @@
 // over many images amortizes packing, dispatch and weight traffic. This
 // module turns independent single-image requests into such batches:
 //
-//   submit() --> bounded request queue --> worker pool --> classify_batch
+//   try_submit() --> bounded request queue --> worker pool --> classify_batch
 //
-// Workers take up to `max_batch` queued requests at once; when fewer are
-// waiting, they hold the batch open until the oldest request has waited
-// `max_latency`, trading a bounded latency increase for throughput (the
-// knob documented in docs/serving.md). The queue is bounded: submit()
-// blocks when `queue_capacity` requests are pending, providing
-// back-pressure instead of unbounded memory growth under overload.
+// Batching is work-conserving: a worker that finds requests waiting takes
+// up to `max_batch` of them at once and runs them; it never holds a
+// request back to wait for company. Batches still form under load, from
+// the requests that arrive while earlier batches run. The queue is
+// bounded: try_submit sheds (returns std::nullopt) once `queue_capacity`
+// requests are pending, instead of growing memory under overload.
 //
 // Concurrency is built strictly from parallel::ThreadPool (repo rule R2:
 // no raw threads outside src/parallel/): each worker is one
@@ -48,16 +48,13 @@
 namespace bcop::serve {
 
 struct BatcherConfig {
-  /// Largest coalesced batch handed to classify_batch.
+  /// Largest batch a worker takes from the queue at once.
   std::int64_t max_batch = 16;
-  /// Bounded queue depth; submit() blocks while this many requests wait.
+  /// Bounded queue depth; try_submit sheds while this many requests wait.
   std::int64_t queue_capacity = 64;
-  /// How long a worker may hold an underfull batch open waiting for more
-  /// requests, measured from the oldest member's enqueue time. 0 disables
-  /// coalescing waits (every batch ships as soon as a worker is free).
+  /// Unread; kept only because perfbench/cpp/http.cpp assigns it.
   std::chrono::microseconds max_latency{2000};
-  /// Worker tasks. 0 = synchronous mode: submit() classifies inline and
-  /// returns a ready future (single-core hosts, tests).
+  /// Worker tasks; must be >= 1.
   unsigned workers = 2;
   /// CPUs the worker tasks pin themselves to (parallel::pin_current_thread
   /// at loop entry; empty = unpinned). serve::Router hands each replica a
@@ -93,28 +90,19 @@ class BatchingServer {
 
   /// Begin shutdown and wait for the workers: every already-accepted
   /// request is still answered (the queue drains), then the worker tasks
-  /// exit. Idempotent; the destructor calls it. After shutdown, submit()
-  /// returns rejected futures and try_submit() returns std::nullopt --
-  /// serve::Replica uses this as the graceful-drain primitive.
+  /// exit. Idempotent; the destructor calls it. After shutdown,
+  /// try_submit() returns std::nullopt -- serve::Replica uses this as the
+  /// graceful-drain primitive.
   void shutdown() BCOP_EXCLUDES(mutex_);
 
-  /// Enqueue one [S, S, 3] image (or [1, S, S, 3]); blocks while the queue
-  /// is full. The future resolves once a worker ships the batch containing
-  /// this request. After shutdown began the call never throws: it counts a
-  /// rejection and returns a *rejected future* (std::runtime_error surfaces
-  /// at get()), matching the no-throw admission discipline of try_submit.
-  std::future<core::Predictor::Result> submit(tensor::Tensor image)
-      BCOP_EXCLUDES(mutex_);
-
-  /// Non-blocking admission-controlled submit for network front-ends: a
-  /// caller that must never park (an HTTP worker holding hundreds of
-  /// connections) gets either a future or an immediate rejection, never a
-  /// wait. Returns std::nullopt -- and counts bcop_serve_rejected_total --
-  /// when the queue already holds min(queue_capacity, max_depth) requests
-  /// (max_depth < 0 means "queue_capacity alone"; max_depth == 0 sheds
-  /// everything) or when shutdown began. Shape validation still throws
-  /// std::invalid_argument, exactly like submit(): a malformed image is a
-  /// caller bug, not load.
+  /// The one admission call: enqueue one [S, S, 3] image (or
+  /// [1, S, S, 3]) without ever waiting. The future resolves once a worker
+  /// runs the batch containing this request. Returns std::nullopt -- and
+  /// counts bcop_serve_rejected_total -- when the queue already holds
+  /// min(queue_capacity, max_depth) requests (max_depth < 0 means
+  /// "queue_capacity alone"; max_depth == 0 sheds everything) or when
+  /// shutdown began. Shape validation throws std::invalid_argument: a
+  /// malformed image is a caller bug, not load.
   std::optional<std::future<core::Predictor::Result>> try_submit(
       tensor::Tensor image, std::int64_t max_depth = -1) BCOP_EXCLUDES(mutex_);
 
@@ -136,7 +124,7 @@ class BatchingServer {
   };
 
   /// Per-worker serving state, owned by the worker for its lifetime: the
-  /// grow-only plan arena plus the coalesced input, logits and result
+  /// grow-only plan arena plus the batched input, logits and result
   /// buffers. Once the worker has seen a batch size, shipping that size
   /// again touches no allocator -- the whole inference is arena + reuse.
   struct WorkerState {
@@ -163,13 +151,6 @@ class BatchingServer {
   /// Flatten [1, S, S, C] to [S, S, C]; throws std::invalid_argument
   /// (counting the rejection) on any other rank.
   tensor::Tensor normalize_rank(tensor::Tensor image) const;
-  /// Queue one admitted request and update stats/gauge; caller unlocks,
-  /// bumps the submitted counter and notifies a worker.
-  std::future<core::Predictor::Result> enqueue_locked(tensor::Tensor image)
-      BCOP_REQUIRES(mutex_);
-  /// Synchronous (workers == 0) path: classify on the calling thread.
-  std::future<core::Predictor::Result> classify_inline(tensor::Tensor image)
-      BCOP_EXCLUDES(mutex_);
 
   const core::Predictor& predictor_;
   const BatcherConfig config_;
@@ -179,8 +160,7 @@ class BatchingServer {
   std::unique_ptr<Metrics> replica_metrics_;
 
   mutable util::Mutex mutex_;
-  std::condition_variable cv_work_;   // queue became non-empty / stopping
-  std::condition_variable cv_space_;  // queue has room again
+  std::condition_variable cv_work_;  // queue became non-empty / stopping
   std::deque<Request> queue_ BCOP_GUARDED_BY(mutex_);
   bool stopping_ BCOP_GUARDED_BY(mutex_) = false;
   ServerStats stats_ BCOP_GUARDED_BY(mutex_);

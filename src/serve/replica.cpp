@@ -42,38 +42,22 @@ Replica::~Replica() {
   drain_admin();
 }
 
-// Manual try_lock with an exception-safe unlock on the shape-validation
-// throw path; Clang's thread-safety analysis cannot model the catch-edge
-// release, so this one function opts out. Discipline: server_ and the
-// relaxed state re-check are touched only between a successful try_lock()
-// and the matching unlock().
 Replica::Admitted Replica::try_submit(tensor::Tensor& image,
-                                      std::int64_t max_depth)
-    BCOP_NO_THREAD_SAFETY_ANALYSIS {
+                                      std::int64_t max_depth) {
   Admitted out;
   // Fast reject without touching the lock: a draining replica answers
   // kUnavailable from one atomic load, so the Router's retry scan costs
   // nothing on the replicas that are mid-swap.
   if (state_.load(std::memory_order_acquire) != ReplicaState::kServing)
     return out;
-  // A held lock means a swap is moving the generation out (or another
-  // admission is in its microseconds-long critical section); either way
-  // the caller must not park -- report unavailable and let the Router
-  // place the request elsewhere.
-  if (!mutex_.try_lock()) return out;
+  // Every holder of mutex_ is brief (pointer moves, depth and stat reads,
+  // other admissions), so waiting for it is not parking -- and contention
+  // with a Router depth scan or a concurrent admission is not a swap.
+  MutexLock lock(mutex_);
   if (!server_ ||
-      state_.load(std::memory_order_relaxed) != ReplicaState::kServing) {
-    mutex_.unlock();
+      state_.load(std::memory_order_relaxed) != ReplicaState::kServing)
     return out;
-  }
-  std::optional<std::future<Predictor::Result>> future;
-  try {
-    future = server_->try_submit(std::move(image), max_depth);
-  } catch (...) {
-    mutex_.unlock();
-    throw;  // caller bug (mis-shaped image); propagate like BatchingServer
-  }
-  mutex_.unlock();
+  auto future = server_->try_submit(std::move(image), max_depth);
   if (!future) {
     out.admission = Admission::kShed;  // rejection counted by the server
     return out;
@@ -121,12 +105,16 @@ void Replica::drain_admin() {
 void Replica::swap_model(const Predictor& prototype) {
   MutexLock admin(admin_mutex_);
   drain_admin();
+  // The next generation is built outside mutex_, which only ever guards
+  // brief critical sections. The old generation is fully gone
+  // (drain_admin joined it), so reseating the model is safe; the old
+  // model is freed when `model` leaves scope, outside the lock too.
+  auto model = std::make_unique<Predictor>(prototype.replicate());
+  auto server = std::make_unique<BatchingServer>(*model, config_);
   {
     MutexLock lock(mutex_);
-    // The old generation is fully gone (drain_admin joined it), so
-    // reseating the model the servers reference is safe.
-    model_ = std::make_unique<Predictor>(prototype.replicate());
-    server_ = std::make_unique<BatchingServer>(*model_, config_);
+    model_.swap(model);
+    server_ = std::move(server);
     ++generation_;
   }
   state_.store(ReplicaState::kServing, std::memory_order_release);

@@ -21,9 +21,9 @@
 // Admission (try_submit) is tri-state so the Router can tell "this
 // replica is full" (kShed: terminal, the 503 ledger already counted it)
 // from "this replica is mid-swap" (kUnavailable: nothing counted, the
-// image is untouched, try the next replica). The admission fast path
-// never parks: a state check plus a mutex try_lock, both of which fail
-// fast while a swap holds the replica.
+// image is untouched, try the next replica). Admission never parks: a
+// state check that fails fast once a drain or swap begins, then a mutex
+// that is only ever held for brief critical sections.
 #pragma once
 
 #include <atomic>
@@ -57,9 +57,8 @@ class Replica {
     kShed,         // over watermark/capacity; rejection counted -- terminal,
                    // the fleet is uniformly loaded so retrying elsewhere
                    // would just double-count the 503 ledger
-    kUnavailable,  // not serving (draining/swap) or admission lock briefly
-                   // contended; nothing counted, image untouched: retry on
-                   // another replica
+    kUnavailable,  // not serving (draining/swap); nothing counted, image
+                   // untouched: retry on another replica
   };
 
   struct Admitted {
@@ -127,10 +126,10 @@ class Replica {
   /// two administrators cannot interleave a teardown with a restart.
   /// Ordering: admin_mutex_ is taken before mutex_, never the reverse.
   util::Mutex admin_mutex_ BCOP_ACQUIRED_BEFORE(mutex_);  // bcop-lint: allow(R8): serializes the drain/swap lifecycle region, guards no data member
-  /// Guards the live generation. Held only for pointer moves and stat
-  /// reads -- the slow parts of a swap (queue drain, worker join, plan
-  /// rebuild) happen outside it so admission and depth probes fail fast
-  /// instead of parking.
+  /// Guards the live generation. Held only for admissions, pointer moves
+  /// and stat reads -- the slow parts of a swap (queue drain, worker join,
+  /// model replication) happen outside it, so admission and depth probes
+  /// wait microseconds at most.
   mutable util::Mutex mutex_;
   /// This replica's replicated clone; heap-held so a swap can reseat it
   /// while the BatchingServer reference contract ("the predictor must

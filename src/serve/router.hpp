@@ -53,8 +53,8 @@ struct RouterConfig {
   /// a 64-bit mask). Each replica gets its own BatchingServer built from
   /// `batcher` with replica_id forced to its index.
   int replicas = 2;
-  /// Per-replica server template. queue_capacity/max_batch/max_latency/
-  /// workers apply to EACH replica (fleet capacity is replicas x
+  /// Per-replica server template. queue_capacity/max_batch/workers
+  /// apply to EACH replica (fleet capacity is replicas x
   /// queue_capacity); replica_id and pin_cpus are overwritten per replica.
   BatcherConfig batcher;
   /// Deal each replica a disjoint CPU set via parallel::partition_cpus

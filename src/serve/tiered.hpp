@@ -64,8 +64,8 @@ struct TieredConfig {
   /// the degrade-to-low path deterministic in tests).
   std::int64_t high_max_depth = -1;
   /// Worker tasks that chain low-tier completions into escalations. 0 =
-  /// resolve inline on the submitting thread (deterministic with
-  /// synchronous tiers; blocks the caller otherwise).
+  /// resolve inline on the submitting thread: try_submit blocks until the
+  /// request's chain has resolved (deterministic, for tests).
   unsigned escalation_workers = 1;
 };
 

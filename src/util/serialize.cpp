@@ -10,9 +10,20 @@ static_assert(std::endian::native == std::endian::little,
               "bcop serialization targets little-endian hosts");
 
 // Arrays above this length are rejected by the reader: real model files are
-// far smaller, so a larger length means a corrupt or truncated file and we
-// fail before attempting a multi-gigabyte allocation.
+// far smaller, so a larger length means a corrupt file. A length the file
+// cannot hold (more bytes than remain) is rejected too, so a corrupt or
+// truncated file fails before anything is allocated for it.
 constexpr std::uint64_t kMaxArrayLen = 1ull << 28;
+
+std::int64_t checked_numel(std::initializer_list<std::int64_t> dims) {
+  constexpr auto kMax = static_cast<std::int64_t>(kMaxArrayLen);
+  std::int64_t n = 1;
+  for (const std::int64_t d : dims) {
+    if (d < 1 || d > kMax / n) return -1;
+    n *= d;
+  }
+  return n;
+}
 
 BinaryWriter::BinaryWriter(const std::string& path)
     : out_(path, std::ios::binary), path_(path) {
@@ -96,36 +107,37 @@ float BinaryReader::read_f32() {
   return v;
 }
 
-std::string BinaryReader::read_string() {
+std::uint64_t BinaryReader::read_count(std::size_t elem_size,
+                                       const char* what) {
   const std::uint64_t n = read_u64();
-  if (n > kMaxArrayLen) throw std::runtime_error("BinaryReader: bad string length");
+  // kMaxArrayLen first, so n * elem_size (elem_size <= 8) cannot overflow.
+  if (n > kMaxArrayLen || n * elem_size > remaining())
+    throw std::runtime_error(std::string("BinaryReader: bad ") + what +
+                             " length in " + path_);
+  return n;
+}
+
+std::string BinaryReader::read_string() {
+  const std::uint64_t n = read_count(1, "string");
   std::string s(n, '\0');
   raw(s.data(), n);
   return s;
 }
 
-std::vector<float> BinaryReader::read_f32_array() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxArrayLen) throw std::runtime_error("BinaryReader: bad array length");
-  std::vector<float> v(n);
-  raw(v.data(), n * sizeof(float));
+template <typename T>
+std::vector<T> BinaryReader::read_array() {
+  const std::uint64_t n = read_count(sizeof(T), "array");
+  std::vector<T> v(n);
+  raw(v.data(), n * sizeof(T));
   return v;
 }
 
+std::vector<float> BinaryReader::read_f32_array() { return read_array<float>(); }
 std::vector<std::uint64_t> BinaryReader::read_u64_array() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxArrayLen) throw std::runtime_error("BinaryReader: bad array length");
-  std::vector<std::uint64_t> v(n);
-  raw(v.data(), n * sizeof(std::uint64_t));
-  return v;
+  return read_array<std::uint64_t>();
 }
-
 std::vector<std::int32_t> BinaryReader::read_i32_array() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxArrayLen) throw std::runtime_error("BinaryReader: bad array length");
-  std::vector<std::int32_t> v(n);
-  raw(v.data(), n * sizeof(std::int32_t));
-  return v;
+  return read_array<std::int32_t>();
 }
 
 bool BinaryReader::eof() {

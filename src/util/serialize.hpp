@@ -8,10 +8,17 @@
 
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 namespace bcop::util {
+
+/// Element count of a tensor whose dimensions came from an untrusted file,
+/// or -1 when a dimension is < 1 or the product exceeds the reader's array
+/// limit. Never overflows; loaders compare it with the array they read
+/// before sizing any tensor from the dimensions.
+std::int64_t checked_numel(std::initializer_list<std::int64_t> dims);
 
 class BinaryWriter {
  public:
@@ -59,6 +66,12 @@ class BinaryReader {
 
  private:
   void raw(void* p, std::size_t n);
+  /// Read an element count and reject it -- std::runtime_error naming
+  /// `what` -- above kMaxArrayLen or beyond the bytes left in the file,
+  /// before the caller allocates anything for it.
+  std::uint64_t read_count(std::size_t elem_size, const char* what);
+  template <typename T>
+  std::vector<T> read_array();
   std::ifstream in_;
   std::string path_;
 };

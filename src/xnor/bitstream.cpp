@@ -184,6 +184,7 @@ XnorNetwork load_bitstream(const std::string& path) {
   const bool has_residual = version >= 2;
   const std::string name = r.read_string();
   const std::uint64_t count = r.read_u64();
+  if (count == 0) throw std::runtime_error("bitstream: no stages");
   check_count(r, count, 4, "stage");  // a stage is at least its tag
   std::vector<Stage> stages;
   stages.reserve(count);

@@ -103,6 +103,9 @@ TEST(CheckMacroDeathTest, BatchingServerRejectsDegenerateConfig) {
   bad.max_batch = 4;
   bad.queue_capacity = 0;
   EXPECT_DEATH(bcop::serve::BatchingServer(p, bad), "queue_capacity");
+  bad.queue_capacity = 4;
+  bad.workers = 0;
+  EXPECT_DEATH(bcop::serve::BatchingServer(p, bad), "workers");
 }
 
 // --- BCOP_DCHECK: bounds checks under BCOP_BOUNDS_CHECK=ON ----------------

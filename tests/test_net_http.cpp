@@ -45,7 +45,6 @@ struct LiveServer {
     serve::RouterConfig cfg;
     cfg.replicas = replicas;
     cfg.batcher.workers = 1;
-    cfg.batcher.max_latency = std::chrono::microseconds(500);
     return cfg;
   }
   static net::HttpServerConfig http_config(std::int64_t watermark) {

@@ -76,7 +76,6 @@ StressResult hammer(std::int64_t shed_watermark, unsigned clients,
   rcfg.replicas = replicas;
   rcfg.batcher.workers = 1;
   rcfg.batcher.max_batch = 8;
-  rcfg.batcher.max_latency = std::chrono::microseconds(500);
   serve::Router router(predictor, rcfg);
   net::HttpServerConfig hcfg;
   hcfg.workers = 2;
@@ -169,7 +168,6 @@ TEST(NetStress, LoadgenAccountingConserves) {
   serve::RouterConfig rcfg;
   rcfg.replicas = 2;
   rcfg.batcher.workers = 1;
-  rcfg.batcher.max_latency = std::chrono::microseconds(500);
   serve::Router router(predictor, rcfg);
   net::HttpServerConfig hcfg;
   hcfg.workers = 2;

@@ -278,9 +278,11 @@ TEST(ObsStageProfiler, DisableStopsRecording) {
   EXPECT_EQ(replays.value(), before + 1);
 }
 
-// Synchronous server mode (workers=0) makes the serve-side metrics
-// deterministic: every submit is one batch of one.
-TEST(ObsServe, SynchronousServerCounts) {
+// Sequential submissions to a one-worker server make the serve-side
+// metrics deterministic: each request waits alone in the queue, so every
+// submission is one batch of one. Every series is recorded before the
+// future resolves, so the counts are settled once get() returns.
+TEST(ObsServe, SequentialServerCounts) {
   auto& reg = obs::Registry::global();
   obs::Counter& submitted = reg.counter("bcop_serve_submitted_total");
   obs::Counter& batches = reg.counter("bcop_serve_batches_total");
@@ -296,11 +298,11 @@ TEST(ObsServe, SynchronousServerCounts) {
   const core::Predictor p(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 7));
   serve::BatcherConfig cfg;
-  cfg.workers = 0;
+  cfg.workers = 1;
   serve::BatchingServer server(p, cfg);
   for (int i = 0; i < 5; ++i)
-    server.submit(tensor::Tensor(tensor::Shape{32, 32, 3})).get();
-  EXPECT_THROW(server.submit(tensor::Tensor(tensor::Shape{16, 16, 3})),
+    server.try_submit(tensor::Tensor(tensor::Shape{32, 32, 3}))->get();
+  EXPECT_THROW(server.try_submit(tensor::Tensor(tensor::Shape{16, 16, 3})),
                std::invalid_argument);
 
   EXPECT_EQ(submitted.value(), submitted0 + 5);

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +61,6 @@ TEST(RouterStress, RollingHotSwapLosesNothing) {
   cfg.batcher.workers = 1;
   cfg.batcher.max_batch = 4;
   cfg.batcher.queue_capacity = 16;
-  cfg.batcher.max_latency = std::chrono::microseconds(500);
   serve::Router router(p, cfg);
 
   const int kClients = 3;
@@ -140,7 +138,6 @@ TEST(RouterStress, DrainUnderFireResolvesAcceptedWork) {
   cfg.replicas = 1;
   cfg.batcher.workers = 1;
   cfg.batcher.max_batch = 4;
-  cfg.batcher.max_latency = std::chrono::microseconds(500);
   serve::Router router(p, cfg);
 
   const int kClients = 3;

@@ -1,12 +1,13 @@
 // Serving-layer tests: batch invariance of the bit-domain batched path
 // (classifying images together must give exactly the same answers as
-// classifying them alone) and functional coverage of the request-coalescing
+// classifying them alone) and functional coverage of the request-batching
 // BatchingServer. Heavier concurrency hammering lives in
 // test_serve_stress.cpp so it can run under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
+#include <optional>
 #include <vector>
 
 #include "core/architecture.hpp"
@@ -112,7 +113,7 @@ TEST(Serve, ServerMatchesDirectClassification) {
   serve::BatchingServer server(p, cfg);
   std::vector<std::future<core::Predictor::Result>> futures;
   for (std::int64_t i = 0; i < kRequests; ++i)
-    futures.push_back(server.submit(nth_image(batch, i)));
+    futures.push_back(server.try_submit(nth_image(batch, i)).value());
   for (std::int64_t i = 0; i < kRequests; ++i)
     expect_same_result(futures[static_cast<std::size_t>(i)].get(),
                        direct[static_cast<std::size_t>(i)], i);
@@ -123,28 +124,6 @@ TEST(Serve, ServerMatchesDirectClassification) {
   EXPECT_LE(stats.max_batch_seen, cfg.max_batch);
 }
 
-TEST(Serve, SynchronousModeClassifiesInline) {
-  const core::Predictor p = make_predictor(8);
-  util::Rng rng(9);
-  const Tensor batch = random_batch(3, rng);
-  const auto direct = p.classify_batch(batch);
-
-  serve::BatcherConfig cfg;
-  cfg.workers = 0;
-  serve::BatchingServer server(p, cfg);
-  for (std::int64_t i = 0; i < 3; ++i) {
-    auto future = server.submit(nth_image(batch, i));
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "workers=0 must resolve synchronously";
-    expect_same_result(future.get(), direct[static_cast<std::size_t>(i)], i);
-  }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 3);
-  EXPECT_EQ(stats.batches, 3);
-  EXPECT_EQ(stats.coalesced, 0);
-}
-
 TEST(Serve, SubmitAcceptsRank3AndSingletonRank4) {
   const core::Predictor p = make_predictor(10);
   util::Rng rng(11);
@@ -153,8 +132,8 @@ TEST(Serve, SubmitAcceptsRank3AndSingletonRank4) {
   serve::BatcherConfig cfg;
   cfg.workers = 1;
   serve::BatchingServer server(p, cfg);
-  auto a = server.submit(batch);  // [1, 32, 32, 3]
-  auto b = server.submit(batch.reshaped(Shape{32, 32, 3}));
+  auto a = server.try_submit(batch).value();  // [1, 32, 32, 3]
+  auto b = server.try_submit(batch.reshaped(Shape{32, 32, 3})).value();
   expect_same_result(a.get(), b.get(), 0);
 }
 
@@ -164,15 +143,17 @@ TEST(Serve, SubmitRejectsMismatchedImages) {
   cfg.workers = 1;
   serve::BatchingServer server(p, cfg);
   // Wrong spatial size for the served u-CNV (wants 32x32x3).
-  EXPECT_THROW(server.submit(Tensor(Shape{8, 8, 3})), std::invalid_argument);
-  // A real batch is not a request.
-  EXPECT_THROW(server.submit(Tensor(Shape{2, 32, 32, 3})),
+  EXPECT_THROW(server.try_submit(Tensor(Shape{8, 8, 3})),
                std::invalid_argument);
-  EXPECT_THROW(server.submit(Tensor(Shape{32, 32})), std::invalid_argument);
+  // A real batch is not a request.
+  EXPECT_THROW(server.try_submit(Tensor(Shape{2, 32, 32, 3})),
+               std::invalid_argument);
+  EXPECT_THROW(server.try_submit(Tensor(Shape{32, 32})),
+               std::invalid_argument);
 }
 
-// try_submit under capacity behaves exactly like submit: a future that
-// resolves to the same answer as direct classification.
+// try_submit under capacity returns a future that resolves to the same
+// answer as direct classification.
 TEST(Serve, TrySubmitAdmitsUnderCapacity) {
   const core::Predictor p = make_predictor(30);
   util::Rng rng(31);
@@ -217,8 +198,8 @@ TEST(Serve, TrySubmitShedsAtWatermarkAndCountsRejections) {
   maybe->get();
 }
 
-// Shape validation is a caller bug, not load: try_submit throws exactly
-// like submit instead of reporting nullopt.
+// Shape validation is a caller bug, not load: try_submit throws instead of
+// reporting nullopt.
 TEST(Serve, TrySubmitRejectsMismatchedImages) {
   const core::Predictor p = make_predictor(34);
   serve::BatcherConfig cfg;
@@ -228,21 +209,6 @@ TEST(Serve, TrySubmitRejectsMismatchedImages) {
                std::invalid_argument);
   EXPECT_THROW(server.try_submit(Tensor(Shape{2, 32, 32, 3})),
                std::invalid_argument);
-}
-
-// Synchronous mode has no queue to shed from: try_submit classifies inline
-// and resolves immediately, mirroring submit.
-TEST(Serve, TrySubmitSynchronousModeResolvesInline) {
-  const core::Predictor p = make_predictor(35);
-  util::Rng rng(36);
-  const Tensor image = nth_image(random_batch(1, rng), 0);
-  serve::BatcherConfig cfg;
-  cfg.workers = 0;
-  serve::BatchingServer server(p, cfg);
-  auto maybe = server.try_submit(image);
-  ASSERT_TRUE(maybe.has_value());
-  EXPECT_EQ(maybe->wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
 }
 
 TEST(Serve, QueueDepthReflectsPendingRequests) {
@@ -255,16 +221,15 @@ TEST(Serve, QueueDepthReflectsPendingRequests) {
   // non-zero transient is timing-dependent, so only the fixed points are
   // asserted).
   util::Rng rng(38);
-  auto f = server.submit(nth_image(random_batch(1, rng), 0));
+  auto f = server.try_submit(nth_image(random_batch(1, rng), 0)).value();
   f.get();
   for (int spin = 0; spin < 1000 && server.queue_depth() != 0; ++spin) {
   }
   EXPECT_EQ(server.queue_depth(), 0);
 }
 
-// Lifecycle is never an exception: after shutdown(), submit() returns a
-// future that carries the rejection (std::runtime_error at get()) instead
-// of unwinding the caller, and try_submit() reports nullopt. Both count
+// Lifecycle is never an exception: after shutdown(), try_submit() rejects
+// with nullopt instead of unwinding the caller, and every rejection counts
 // bcop_serve_rejected_total so drained traffic stays on the ledger.
 TEST(Serve, SubmitAfterShutdownReturnsRejectedFuture) {
   const core::Predictor p = make_predictor(40);
@@ -278,12 +243,9 @@ TEST(Serve, SubmitAfterShutdownReturnsRejectedFuture) {
   obs::Counter& rejected =
       obs::Registry::global().counter("bcop_serve_rejected_total");
   const std::uint64_t before = rejected.value();
-  std::future<core::Predictor::Result> future;
-  EXPECT_NO_THROW(future = server.submit(image));
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "the rejection must already be in the future";
-  EXPECT_THROW(future.get(), std::runtime_error);
+  std::optional<std::future<core::Predictor::Result>> future;
+  EXPECT_NO_THROW(future = server.try_submit(image));
+  EXPECT_FALSE(future.has_value()) << "a drained server admits nothing";
   EXPECT_FALSE(server.try_submit(image).has_value());
   EXPECT_EQ(rejected.value() - before, 2u);
 }
@@ -310,7 +272,7 @@ TEST(Serve, ShutdownDrainsAcceptedRequests) {
   serve::BatchingServer server(p, cfg);
   std::vector<std::future<core::Predictor::Result>> futures;
   for (std::int64_t i = 0; i < 6; ++i)
-    futures.push_back(server.submit(nth_image(batch, i)));
+    futures.push_back(server.try_submit(nth_image(batch, i)).value());
   server.shutdown();
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
 }
@@ -348,8 +310,8 @@ TEST(Serve, ServerAgreesWithClassifyOnFaces) {
         facegen::render_face(
             facegen::sample_attributes(static_cast<facegen::MaskClass>(i), rng))
             .image);
-    futures.push_back(
-        server.submit(facegen::MaskedFaceDataset::image_to_tensor(faces.back())));
+    Tensor image = facegen::MaskedFaceDataset::image_to_tensor(faces.back());
+    futures.push_back(server.try_submit(std::move(image)).value());
   }
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().label,

@@ -37,19 +37,21 @@ Tensor random_image(util::Rng& rng) {
   return image;
 }
 
-/// Synchronous replicas (workers == 0) make placement deterministic: the
-/// queue depth is always zero, so every decision is the tie-break, and
-/// stats update before try_submit returns.
-serve::RouterConfig sync_config(int replicas) {
+/// One worker per replica and one request in flight at a time make
+/// placement deterministic: a worker takes its request off the queue
+/// before answering it, so once get() returns every queue depth is zero
+/// and each decision is the tie-break. stats() counts a request when it
+/// is admitted.
+serve::RouterConfig one_worker_config(int replicas) {
   serve::RouterConfig cfg;
   cfg.replicas = replicas;
-  cfg.batcher.workers = 0;
+  cfg.batcher.workers = 1;
   return cfg;
 }
 
 TEST(Router, ConstructsFleetWithAllReplicasServing) {
   const core::Predictor p = make_predictor(1);
-  serve::Router router(p, sync_config(3));
+  serve::Router router(p, one_worker_config(3));
   ASSERT_EQ(router.size(), 3);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(router.replica(i).state(), serve::ReplicaState::kServing);
@@ -62,9 +64,9 @@ TEST(Router, ConstructsFleetWithAllReplicasServing) {
 
 TEST(Router, RejectsOutOfRangeReplicaCounts) {
   const core::Predictor p = make_predictor(2);
-  serve::RouterConfig zero = sync_config(0);
+  serve::RouterConfig zero = one_worker_config(0);
   EXPECT_DEATH({ serve::Router router(p, zero); }, "replicas");
-  serve::RouterConfig huge = sync_config(65);
+  serve::RouterConfig huge = one_worker_config(65);
   EXPECT_DEATH({ serve::Router router(p, huge); }, "replicas");
 }
 
@@ -72,7 +74,7 @@ TEST(Router, RejectsOutOfRangeReplicaCounts) {
 // tie-break -- which must rotate, not hammer replica 0.
 TEST(Router, TieBreakSpreadsIdleFleetRoundRobin) {
   const core::Predictor p = make_predictor(3);
-  serve::Router router(p, sync_config(2));
+  serve::Router router(p, one_worker_config(2));
   util::Rng rng(4);
   const Tensor image = random_image(rng);
   for (int i = 0; i < 6; ++i) {
@@ -87,7 +89,7 @@ TEST(Router, TieBreakSpreadsIdleFleetRoundRobin) {
 
 TEST(Router, NeverPlacesOntoDrainedReplica) {
   const core::Predictor p = make_predictor(5);
-  serve::Router router(p, sync_config(2));
+  serve::Router router(p, one_worker_config(2));
   router.drain(0);
   EXPECT_EQ(router.replica(0).state(), serve::ReplicaState::kStopped);
   util::Rng rng(6);
@@ -141,7 +143,7 @@ TEST(Router, DrainResolvesInFlightFuturesThenRefuses) {
 TEST(Router, SwapModelBumpsGenerationAndKeepsAnswering) {
   const core::Predictor p = make_predictor(9);
   const core::Predictor next = make_predictor(10);  // "new model version"
-  serve::Router router(p, sync_config(2));
+  serve::Router router(p, one_worker_config(2));
   util::Rng rng(11);
   const Tensor image = random_image(rng);
   ASSERT_TRUE(router.try_submit(image).has_value());
@@ -169,7 +171,7 @@ TEST(Router, SwapModelBumpsGenerationAndKeepsAnswering) {
 // Stats survive the swap: generations accumulate instead of resetting.
 TEST(Router, ReplicaStatsAccumulateAcrossGenerations) {
   const core::Predictor p = make_predictor(12);
-  serve::RouterConfig cfg = sync_config(1);
+  serve::RouterConfig cfg = one_worker_config(1);
   serve::Router router(p, cfg);
   util::Rng rng(13);
   const Tensor image = random_image(rng);
@@ -207,7 +209,7 @@ TEST(Router, ShedIsTerminalAndCountedOnce) {
 TEST(Router, ReplicaUnavailableLeavesImageIntact) {
   const core::Predictor p = make_predictor(16);
   serve::BatcherConfig bcfg;
-  bcfg.workers = 0;
+  bcfg.workers = 1;
   serve::Replica replica(p, bcfg, /*id=*/0);
   replica.drain();
   util::Rng rng(17);
@@ -224,7 +226,7 @@ TEST(Router, ReplicaUnavailableLeavesImageIntact) {
 // family: traffic through replica N lands in bcop_serve_replica<N>_*.
 TEST(Router, PerReplicaMetricFamiliesRecord) {
   const core::Predictor p = make_predictor(18);
-  serve::Router router(p, sync_config(2));
+  serve::Router router(p, one_worker_config(2));
   obs::Counter& r0 = obs::Registry::global().counter(
       "bcop_serve_replica0_submitted_total");
   obs::Counter& r1 = obs::Registry::global().counter(
@@ -244,10 +246,10 @@ TEST(Router, PerReplicaMetricFamiliesRecord) {
 }
 
 // --- Confidence-tiered serving (serve/tiered.hpp) --------------------------
-// All tiered tests run fully synchronous (workers == 0 in both tiers,
-// escalation_workers == 0) so every future is ready when try_submit
-// returns and every counter has settled -- escalation behavior and the
-// exactly-once accounting become plain assertions.
+// All tiered tests chain inline (escalation_workers == 0): try_submit
+// returns only after the low tier, and any escalation, has answered, so
+// every future is ready and every counter has settled -- escalation
+// behavior and the exactly-once accounting become plain assertions.
 
 core::Predictor make_residual_predictor(std::uint64_t seed) {
   return core::Predictor(
@@ -255,12 +257,12 @@ core::Predictor make_residual_predictor(std::uint64_t seed) {
                       /*residual_levels=*/3));
 }
 
-serve::TieredConfig sync_tiered(float margin_threshold) {
+serve::TieredConfig inline_tiered(float margin_threshold) {
   serve::TieredConfig cfg;
   cfg.low.replicas = 1;
-  cfg.low.batcher.workers = 0;
+  cfg.low.batcher.workers = 1;
   cfg.high.replicas = 1;
-  cfg.high.batcher.workers = 0;
+  cfg.high.batcher.workers = 1;
   cfg.margin_threshold = margin_threshold;
   cfg.escalation_workers = 0;
   return cfg;
@@ -302,7 +304,7 @@ struct TieredCounters {
 // the answer is bit-identical to serving the capped clone directly.
 TEST(Tiered, WideMarginResolvesInLowTierOnly) {
   const core::Predictor p = make_residual_predictor(40);
-  serve::TieredRouter tiered(p, sync_tiered(0.f));
+  serve::TieredRouter tiered(p, inline_tiered(0.f));
   TieredCounters c;
   util::Rng rng(41);
   for (int i = 0; i < 4; ++i) {
@@ -331,7 +333,7 @@ TEST(Tiered, WideMarginResolvesInLowTierOnly) {
 TEST(Tiered, LowMarginEscalatesToFullDepthExactlyOnce) {
   const core::Predictor p = make_residual_predictor(42);
   // margin <= 1 < 2: every request is "low margin" and must escalate.
-  serve::TieredRouter tiered(p, sync_tiered(2.f));
+  serve::TieredRouter tiered(p, inline_tiered(2.f));
   TieredCounters c;
   util::Rng rng(43);
   bool depths_distinguished = false;
@@ -366,12 +368,8 @@ TEST(Tiered, LowMarginEscalatesToFullDepthExactlyOnce) {
 // with the M = 1 result, and the shed is counted exactly once.
 TEST(Tiered, EscalationShedDegradesToLowTierAnswer) {
   const core::Predictor p = make_residual_predictor(44);
-  serve::TieredConfig cfg = sync_tiered(2.f);  // always try to escalate
-  // Watermark 0 sheds every escalation -- but only a QUEUED server
-  // consults the watermark (a synchronous workers == 0 server classifies
-  // inline and never sheds), so the high tier runs one real worker.
-  cfg.high.batcher.workers = 1;
-  cfg.high_max_depth = 0;
+  serve::TieredConfig cfg = inline_tiered(2.f);  // always try to escalate
+  cfg.high_max_depth = 0;  // watermark 0 sheds every escalation
   serve::TieredRouter tiered(p, cfg);
   TieredCounters c;
   util::Rng rng(45);
@@ -394,8 +392,7 @@ TEST(Tiered, EscalationShedDegradesToLowTierAnswer) {
 // exactly-once rejection ledger, same as a plain Router.
 TEST(Tiered, LowTierShedIsClientVisibleAndCountedOnce) {
   const core::Predictor p = make_residual_predictor(46);
-  serve::TieredConfig cfg = sync_tiered(2.f);
-  cfg.low.batcher.workers = 1;  // async so a max_depth-0 watermark sheds
+  serve::TieredConfig cfg = inline_tiered(2.f);
   serve::TieredRouter tiered(p, cfg);
   TieredCounters c;
   obs::Counter& rejected =

@@ -11,6 +11,8 @@
 
 #include "core/architecture.hpp"
 #include "core/predictor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/batcher.hpp"
 #include "util/rng.hpp"
@@ -52,7 +54,6 @@ TEST(ServeStress, ConcurrentClientsGetCorrectAnswers) {
   cfg.workers = 3;
   cfg.max_batch = 8;
   cfg.queue_capacity = 16;
-  cfg.max_latency = std::chrono::microseconds(1000);
   serve::BatchingServer server(predictor, cfg);
 
   const int kClients = 4;
@@ -65,7 +66,7 @@ TEST(ServeStress, ConcurrentClientsGetCorrectAnswers) {
       for (int i = 0; i < kPerClient; ++i) {
         const auto j =
             static_cast<std::size_t>(pick.uniform_int(0, kImages - 1));
-        auto result = server.submit(images[j]).get();
+        auto result = server.try_submit(images[j]).value().get();
         if (result.label != expected[j]) mismatches.fetch_add(1);
       }
     });
@@ -79,34 +80,41 @@ TEST(ServeStress, ConcurrentClientsGetCorrectAnswers) {
   EXPECT_LE(stats.max_batch_seen, cfg.max_batch);
 }
 
-// A single worker with a generous coalescing window must merge a quick
-// burst into one batch instead of classifying image by image.
-TEST(ServeStress, CoalescingWindowMergesBurst) {
+// Work-conserving batching still coalesces a backlog: one worker, and
+// 64 requests queued back to back from one thread faster than the worker
+// runs them. Whatever piles up while a batch runs ships as the next batch,
+// so the 64 requests cannot all go one at a time. No timing is asserted:
+// the first batch may be any size, the rest form from the backlog.
+TEST(ServeStress, BacklogCoalesces) {
   const core::Predictor predictor(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 43));
   util::Rng rng(44);
+  constexpr int kRequests = 64;
+  std::vector<Tensor> images;
+  for (int i = 0; i < kRequests; ++i) images.push_back(random_image(rng));
 
   serve::BatcherConfig cfg;
   cfg.workers = 1;
-  cfg.max_batch = 4;
-  cfg.queue_capacity = 8;
-  cfg.max_latency = std::chrono::microseconds(2'000'000);
+  cfg.max_batch = 8;
+  cfg.queue_capacity = kRequests;  // the whole backlog fits: nothing sheds
   serve::BatchingServer server(predictor, cfg);
 
   std::vector<std::future<core::Predictor::Result>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(random_image(rng)));
-  for (auto& f : futures) f.get();  // window closes early once the batch fills
+  for (auto& image : images)
+    futures.push_back(server.try_submit(std::move(image)).value());
+  for (auto& f : futures) f.get();
 
   const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 4);
-  EXPECT_GE(stats.max_batch_seen, 2);
-  EXPECT_GE(stats.coalesced, 2);
-  EXPECT_LE(stats.batches, 3);
+  EXPECT_EQ(stats.requests, kRequests);
+  EXPECT_GE(stats.max_batch_seen, 2) << "a backlog must ship as batches";
+  EXPECT_LT(stats.batches, kRequests);
+  EXPECT_LE(stats.max_batch_seen, cfg.max_batch);
 }
 
-// Tiny bounded queue, eager (zero-latency) worker: submit() back-pressure
-// must block rather than drop or deadlock, and shutdown must drain every
-// accepted request.
+// Tiny bounded queue, clients that never wait: admission sheds what does
+// not fit instead of blocking or growing the queue. Every attempt is
+// either admitted or shed, every admitted future resolves (shutdown
+// drains), and each shed counts exactly one rejection.
 TEST(ServeStress, BackpressureOnTinyQueue) {
   const core::Predictor predictor(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 45));
@@ -115,25 +123,42 @@ TEST(ServeStress, BackpressureOnTinyQueue) {
   cfg.workers = 1;
   cfg.max_batch = 2;
   cfg.queue_capacity = 2;
-  cfg.max_latency = std::chrono::microseconds(0);
   serve::BatchingServer server(predictor, cfg);
+  obs::Counter& rejected =
+      obs::Registry::global().counter("bcop_serve_rejected_total");
+  const std::uint64_t rejected0 = rejected.value();
 
   const int kClients = 2;
   const int kPerClient = 10;
+  std::atomic<int> admitted{0};
+  std::atomic<int> shed{0};
   std::atomic<int> answered{0};
   parallel::ThreadPool clients(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.submit([&, c] {
       util::Rng rng(static_cast<std::uint64_t>(200 + c));
+      std::vector<std::future<core::Predictor::Result>> futures;
       for (int i = 0; i < kPerClient; ++i) {
-        server.submit(random_image(rng)).get();
+        auto future = server.try_submit(random_image(rng));
+        if (future.has_value()) {
+          admitted.fetch_add(1);
+          futures.push_back(std::move(*future));
+        } else {
+          shed.fetch_add(1);
+        }
+      }
+      for (auto& f : futures) {
+        f.get();
         answered.fetch_add(1);
       }
     });
   }
   clients.wait_idle();
-  EXPECT_EQ(answered.load(), kClients * kPerClient);
-  EXPECT_EQ(server.stats().requests, kClients * kPerClient);
+  EXPECT_EQ(admitted.load() + shed.load(), kClients * kPerClient);
+  EXPECT_EQ(answered.load(), admitted.load());
+  EXPECT_EQ(server.stats().requests, admitted.load());
+  EXPECT_EQ(rejected.value() - rejected0,
+            static_cast<std::uint64_t>(shed.load()));
 }
 
 }  // namespace
