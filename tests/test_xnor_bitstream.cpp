@@ -148,6 +148,11 @@ struct HostileHeader {
   std::uint64_t stage_count, k, bits_rows, bank_count;
 };
 
+// ctest names carry the printed parameter. gtest's default byte dump would
+// include the address of `name`, which ASLR moves on every listing, so the
+// names would change from build to build; print the row name instead.
+void PrintTo(const HostileHeader& h, std::ostream* os) { *os << h.name; }
+
 class BitstreamHostileHeader : public ::testing::TestWithParam<HostileHeader> {
 };
 
