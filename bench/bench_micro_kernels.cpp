@@ -199,6 +199,55 @@ void kernel_im2row_tier(benchmark::State& state, kn::KernelLevel lvl) {
   state.SetItemsProcessed(state.iterations() * n * ho * wo * k * k * c);
 }
 
+void kernel_first_conv_tier(benchmark::State& state, kn::KernelLevel lvl,
+                            std::int64_t levels) {
+  // conv1_1 of n-CNV on one image: 32x32x3 pixel codes, k = 3, co = 16,
+  // firing `levels` planes (M = 1 classic thresholds, M = 3 the seven
+  // ReBNet pattern banks).
+  const std::int64_t h = 32, w = 32, c = 3, k = 3, co = 16;
+  const std::int64_t ho = h - k + 1, wo = w - k + 1;
+  util::Rng rng(17);
+  std::vector<std::int16_t> codes(
+      static_cast<std::size_t>(h * w * c + kn::kFirstConvCodeSlack), 0);
+  for (std::int64_t i = 0; i < h * w * c; ++i)
+    codes[static_cast<std::size_t>(i)] =
+        static_cast<std::int16_t>(2 * rng.uniform_int(0, 255) - 255);
+  const auto wf = random_signs(k * k * c * co, 18);
+  std::vector<std::int16_t> wts(
+      static_cast<std::size_t>(kn::first_conv_weight_len(k, c, co)));
+  kn::pack_first_conv_weights(wf.data(), k, c, co, wts.data());
+  std::vector<std::int32_t> thr(static_cast<std::size_t>(7 * co));
+  std::vector<std::int32_t> inv(static_cast<std::size_t>(7 * co));
+  for (auto& v : thr)
+    v = static_cast<std::int32_t>(rng.uniform_int(0, 1000)) - 500;
+  for (auto& v : inv) v = rng.bernoulli(0.5) ? 1 : 0;
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(3 * ho * wo));
+  kn::FirstConvCtx ctx{};
+  ctx.codes = codes.data();
+  ctx.wts = wts.data();
+  for (std::int64_t b = 0; b < 7; ++b) {
+    ctx.thr[b] = thr.data() + b * co;
+    ctx.inv[b] = inv.data() + b * co;
+  }
+  ctx.dst = out.data();
+  ctx.h = h;
+  ctx.w = w;
+  ctx.c = c;
+  ctx.k = k;
+  ctx.co = co;
+  ctx.ho = ho;
+  ctx.wo = wo;
+  ctx.wpr = 1;
+  ctx.plane_words = ho * wo;
+  ctx.levels = levels;
+  const kn::KernelTable& table = kn::table_for(lvl);
+  for (auto _ : state) {
+    table.first_conv(&ctx, 0, ho * wo);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ho * wo * k * k * c * co);
+}
+
 const bool kKernelTierRowsRegistered = [] {
   for (int i = 0; i < kn::kKernelLevelCount; ++i) {
     const auto lvl = static_cast<kn::KernelLevel>(i);
@@ -210,6 +259,10 @@ const bool kKernelTierRowsRegistered = [] {
                                  kernel_thresh_tier, lvl);
     benchmark::RegisterBenchmark(("BM_KernelIm2Row32x32/" + tier).c_str(),
                                  kernel_im2row_tier, lvl);
+    for (const std::int64_t m : {1, 3})
+      benchmark::RegisterBenchmark(
+          ("BM_KernelFirstConv/" + tier + "/M" + std::to_string(m)).c_str(),
+          kernel_first_conv_tier, lvl, m);
   }
   return true;
 }();

@@ -1,6 +1,5 @@
 #include "deploy/pipeline.hpp"
 
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -100,8 +99,7 @@ RunResult StreamingPipeline::run(const Tensor& image) const {
       const std::int64_t in_elems = ss.h_in * ss.w_in * ss.c_in;
       std::vector<std::int32_t> pixels(static_cast<std::size_t>(in_elems));
       for (std::int64_t i = 0; i < in_elems; ++i)
-        pixels[static_cast<std::size_t>(i)] =
-            static_cast<std::int32_t>(std::lround(image[i] * 255.f));
+        pixels[static_cast<std::size_t>(i)] = xnor::pixel_code(image[i]);
       SlidingWindowUnit swu(ss.h_in, ss.w_in, ss.c_in, st->k);
       FixedMvtu mvtu(&st->weights, &st->thresholds, {sp.pe, sp.simd});
       std::vector<std::uint8_t> out;

@@ -23,6 +23,7 @@
 #include <cstring>
 
 #include "tensor/bit_tensor.hpp"
+#include "tensor/kernels/first_conv_simd.hpp"
 
 namespace bcop::tensor::kernels {
 
@@ -207,8 +208,79 @@ void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   }
 }
 
+// ---- Integer first conv (FirstConvCtx, first_conv_simd.hpp). ----
+
+/// 16 channels as two ymm of int32 accumulators: vpmaddwd multiplies the
+/// broadcast code pair by one tap pair's weights and adds the two
+/// products per lane.
+struct Block16 {
+  struct Acc {
+    __m256i lo, hi;
+  };
+  using W = Acc;
+  /// Thresholds and inv == 0 masks, low then high 8 lanes.
+  struct Bank {
+    __m256i thr[2], inv_zero[2];
+  };
+  static Acc zero() { return {_mm256_setzero_si256(), _mm256_setzero_si256()}; }
+  static W load_w(const std::int16_t* w) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 16))};
+  }
+  static void madd(Acc& acc, std::int32_t pair, const W& w) {
+    const __m256i a = _mm256_set1_epi32(pair);
+    acc.lo = _mm256_add_epi32(acc.lo, _mm256_madd_epi16(a, w.lo));
+    acc.hi = _mm256_add_epi32(acc.hi, _mm256_madd_epi16(a, w.hi));
+  }
+  static Bank load_bank(const std::int32_t* thr, const std::int32_t* inv) {
+    Bank b;
+    for (int h = 0; h < 2; ++h) {
+      b.thr[h] =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(thr + 8 * h));
+      b.inv_zero[h] = _mm256_cmpeq_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(inv + 8 * h)),
+          _mm256_setzero_si256());
+    }
+    return b;
+  }
+  /// Level m fires from bank (1 << m) - 1 + p, p = the lane's earlier
+  /// sign bits. Fired lanes are all-ones, (acc >= thr) ^ inv computed as
+  /// cmpgt(thr, acc) XOR (inv == 0) (the thresh_chunk identity), so the
+  /// earlier levels' results are blend masks that pick each lane's bank:
+  /// one compare per level whatever the pattern, no per-lane branch.
+  template <int L>
+  static void fire(const Acc& acc, const Bank (&b)[7], std::uint32_t lanes,
+                   std::uint32_t (&out)[L]) {
+    for (int h = 0; h < 2; ++h) {
+      const __m256i a = h ? acc.hi : acc.lo;
+      const auto bit = [&](__m256i thr, __m256i inv_zero) {
+        return _mm256_xor_si256(_mm256_cmpgt_epi32(thr, a), inv_zero);
+      };
+      const auto pick = [](__m256i m, __m256i off, __m256i on) {
+        return _mm256_blendv_epi8(off, on, m);
+      };
+      __m256i f[L];
+      f[0] = bit(b[0].thr[h], b[0].inv_zero[h]);
+      if constexpr (L >= 2)
+        f[1] = bit(pick(f[0], b[1].thr[h], b[2].thr[h]),
+                   pick(f[0], b[1].inv_zero[h], b[2].inv_zero[h]));
+      if constexpr (L >= 3)
+        f[2] = bit(pick(f[1], pick(f[0], b[3].thr[h], b[4].thr[h]),
+                        pick(f[0], b[5].thr[h], b[6].thr[h])),
+                   pick(f[1], pick(f[0], b[3].inv_zero[h], b[4].inv_zero[h]),
+                        pick(f[0], b[5].inv_zero[h], b[6].inv_zero[h])));
+      for (int m = 0; m < L; ++m) {
+        const auto half = static_cast<std::uint32_t>(
+            _mm256_movemask_ps(_mm256_castsi256_ps(f[m])));
+        out[m] = h ? (out[m] | (half << 8)) & lanes : half;
+      }
+    }
+  }
+};
+
 constexpr KernelTable kAvx2Table{KernelLevel::kAvx2, &gemm_chunk,
-                                 &thresh_chunk, &im2row_chunk};
+                                 &thresh_chunk, &im2row_chunk,
+                                 &first_conv_simd::chunk<Block16>};
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 // AVX2 kernel tier: vpshufb nibble-LUT popcount with a Harley-Seal
 // carry-save accumulator for long rows (GEMM), 8-lane compare+movemask
-// threshold firing, and 256-bit-wide patch copies (im2row).
+// threshold firing, 256-bit-wide patch copies (im2row), and the vpmaddwd
+// integer first conv.
 #pragma once
 
 #include "tensor/kernels/kernel_api.hpp"

@@ -21,6 +21,7 @@
 #include <cstring>
 
 #include "tensor/bit_tensor.hpp"
+#include "tensor/kernels/first_conv_simd.hpp"
 
 namespace bcop::tensor::kernels {
 
@@ -143,8 +144,58 @@ void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   }
 }
 
+// ---- Integer first conv (FirstConvCtx, first_conv_simd.hpp). ----
+
+/// 16 channels in one zmm of int32 accumulators: vpmaddwd multiplies the
+/// broadcast code pair by one tap pair's weights and adds the two
+/// products per lane.
+struct Block16 {
+  using Acc = __m512i;
+  using W = __m512i;
+  struct Bank {
+    __m512i thr, inv;
+  };
+  static Acc zero() { return _mm512_setzero_si512(); }
+  static W load_w(const std::int16_t* w) { return _mm512_loadu_si512(w); }
+  static void madd(Acc& acc, std::int32_t pair, W w) {
+    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(_mm512_set1_epi32(pair), w));
+  }
+  static Bank load_bank(const std::int32_t* thr, const std::int32_t* inv) {
+    return {_mm512_loadu_si512(thr), _mm512_loadu_si512(inv)};
+  }
+  /// Level m fires from bank (1 << m) - 1 + p, p = the lane's earlier
+  /// sign bits; mask blends on those bits pick each lane's bank, so every
+  /// level costs one compare whatever the pattern -- no per-lane branch.
+  template <int L>
+  static void fire(Acc acc, const Bank (&b)[7], std::uint32_t lanes,
+                   std::uint32_t (&out)[L]) {
+    const auto bit = [&](__m512i thr, __m512i inv) {
+      return static_cast<__mmask16>(
+          (_mm512_cmp_epi32_mask(acc, thr, _MM_CMPINT_NLT) ^
+           _mm512_test_epi32_mask(inv, inv)) &
+          lanes);
+    };
+    const auto pick = [](__mmask16 m, __m512i off, __m512i on) {
+      return _mm512_mask_blend_epi32(m, off, on);
+    };
+    const __mmask16 b0 = bit(b[0].thr, b[0].inv);
+    out[0] = b0;
+    if constexpr (L >= 2) {
+      const __mmask16 b1 =
+          bit(pick(b0, b[1].thr, b[2].thr), pick(b0, b[1].inv, b[2].inv));
+      out[1] = b1;
+      if constexpr (L >= 3)
+        out[2] = bit(pick(b1, pick(b0, b[3].thr, b[4].thr),
+                          pick(b0, b[5].thr, b[6].thr)),
+                     pick(b1, pick(b0, b[3].inv, b[4].inv),
+                          pick(b0, b[5].inv, b[6].inv)));
+    }
+  }
+};
+
 constexpr KernelTable kAvx512Table{KernelLevel::kAvx512, &gemm_chunk,
-                                   &thresh_chunk, &im2row_chunk};
+                                   &thresh_chunk, &im2row_chunk,
+                                   &first_conv_simd::chunk<Block16>};
 
 }  // namespace
 

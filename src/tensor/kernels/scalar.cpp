@@ -116,8 +116,60 @@ void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   }
 }
 
+void first_conv_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
+  const FirstConvCtx& t = *static_cast<const FirstConvCtx*>(raw);
+  const std::int64_t w = t.w, c = t.c, k = t.k, co = t.co;
+  const std::int64_t ho = t.ho, wo = t.wo, kc = k * c;
+  const std::int64_t pairs = first_conv_pairs(k, c);
+  const std::int64_t co_pad = first_conv_co_pad(co);
+  // One 64-channel output word at a time: its accumulators live in a
+  // fixed stack tile, whatever co is.
+  std::int32_t acc[64];
+  for (std::int64_t r = lo; r < hi; ++r) {
+    const std::int64_t img = r / (ho * wo);
+    const std::int64_t rem = r - img * ho * wo;
+    const std::int64_t y = rem / wo, x = rem - y * wo;
+    for (std::int64_t wd = 0; wd < t.wpr; ++wd) {
+      const std::int64_t j0 = wd * 64;
+      const std::int64_t nb = std::min<std::int64_t>(64, co - j0);
+      for (std::int64_t j = 0; j < nb; ++j) acc[j] = 0;
+      for (std::int64_t ky = 0; ky < k; ++ky) {
+        const std::int16_t* a = t.codes + ((img * t.h + y + ky) * w + x) * c;
+        const std::int16_t* wk = t.wts + (ky * pairs * co_pad + j0) * 2;
+        for (std::int64_t q = 0; q < pairs; ++q) {
+          // Tap pair (2q, 2q+1); an odd row's last pair has one tap.
+          const std::int32_t a0 = a[2 * q];
+          const std::int32_t a1 = 2 * q + 1 < kc ? a[2 * q + 1] : 0;
+          const std::int16_t* wq = wk + q * co_pad * 2;
+#pragma omp simd
+          for (std::int64_t j = 0; j < nb; ++j)
+            acc[j] += a0 * wq[2 * j] + a1 * wq[2 * j + 1];
+        }
+      }
+      // The pattern-bank walk of residual firing; levels == 1 is the
+      // classic (acc >= thr) ^ inv compare against bank 0.
+      std::uint64_t bits[3] = {0, 0, 0};
+      for (std::int64_t i = 0; i < nb; ++i) {
+        const std::int64_t ch = j0 + i;
+        std::uint32_t pat = 0;
+        for (std::int64_t m = 0; m < t.levels; ++m) {
+          const std::int64_t bank = (std::int64_t{1} << m) - 1 + pat;
+          const std::uint32_t b =
+              static_cast<std::uint32_t>(acc[i] >= t.thr[bank][ch]) ^
+              static_cast<std::uint32_t>(t.inv[bank][ch]);
+          bits[m] |= static_cast<std::uint64_t>(b) << i;
+          pat |= b << m;
+        }
+      }
+      for (std::int64_t m = 0; m < t.levels; ++m)
+        t.dst[m * t.plane_words + r * t.wpr + wd] = bits[m];
+    }
+  }
+}
+
 constexpr KernelTable kScalarTable{KernelLevel::kScalar, &gemm_chunk,
-                                   &thresh_chunk, &im2row_chunk};
+                                   &thresh_chunk, &im2row_chunk,
+                                   &first_conv_chunk};
 
 }  // namespace
 

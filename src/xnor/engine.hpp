@@ -18,6 +18,7 @@
 // stage list and must match this engine bit-for-bit.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -52,6 +53,21 @@ struct ResidualSpec {
   /// g_0/256, not 1); classic sign stages never do.
   bool scaled() const { return !scale_bits.empty(); }
 };
+
+/// The first layer's integer input: pixel x becomes the code
+/// k' = clamp(nearbyint(x * 255), -255, 255), rounding ties to even, with
+/// NaN -> 0. Dataset pixels are odd k'/255
+/// (facegen::MaskedFaceDataset::quantize_pixel) and map back to their k';
+/// any other float -- off-grid, +-inf, huge -- still gets a defined code.
+/// The engine's quantize step and deploy::StreamingPipeline both use this,
+/// so the two sides can never round a pixel differently.
+inline std::int16_t pixel_code(float x) {
+  float v = std::nearbyint(x * 255.f);
+  v = v == v ? v : 0.f;  // NaN
+  v = v > 255.f ? 255.f : v;
+  v = v < -255.f ? -255.f : v;
+  return static_cast<std::int16_t>(v);
+}
 
 /// First layer: quantized-input convolution with binary weights.
 struct FirstConvStage {

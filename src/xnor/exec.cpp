@@ -6,11 +6,6 @@
 // tests/test_zero_alloc.cpp.
 #include "xnor/exec.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstring>
-
 #include "parallel/thread_pool.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/kernels/kernel_api.hpp"
@@ -61,171 +56,10 @@ void run_im2row(const PlanStep& st, ConstBitSpan pixels, BitSpan rows) {
   ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ctx, st.width);
 }
 
-// ---- Fused first conv: quantized pixels -> conv -> threshold -> bits. ----
-
-struct FirstConvCtx {
-  const float* q;  // quantized pixel codes, NHWC
-  const FirstConvStage* st;
-  const std::int32_t* thr;
-  const std::int32_t* inv;
-  std::int64_t h, w, c, ho, wo;
-  BitSpan out;
-};
-
-/// Row kernel for the fused first-conv: accumulate output pixels' `CO`
-/// channels with the accumulators held in fixed-size local arrays the
-/// compiler keeps in vector registers, then fire the folded thresholds and
-/// emit packed bits directly. All arithmetic is exact: pixel codes and
-/// +-1 weights are integers and |acc| <= K*255 << 2^24.
-///
-/// Four horizontally adjacent output pixels are computed together: they
-/// share every weight load, and their input patches are the same span
-/// shifted by `c`, so one broadcast-FMA sweep feeds four accumulator
-/// vectors. The `omp simd` hints are required -- without them GCC leaves
-/// the channel loop scalar ("complicated access pattern") and the first
-/// conv dominates the whole batched forward. Thresholds arrive in
-/// PreparedThresholds form (thr/inv) so firing is a branch-free compare
-/// the vectorizer folds into a mask; a branchy per-channel `if` here costs
-/// more than the convolution itself.
-template <int CO>
-void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
-                           std::int64_t hi) {
-  static_assert(CO <= 64, "fixed kernel emits one 64-bit word per pixel");
-  const float* q = t.q;
-  const std::int32_t* thr = t.thr;
-  const std::int32_t* inv = t.inv;
-  const float* wts = t.st->weights.data();
-  const std::int64_t h = t.h, w = t.w, c = t.c, ho = t.ho, wo = t.wo;
-  const std::int64_t k = t.st->k, kc = k * c;
-  std::int64_t r = lo;
-  while (r < hi) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
-    const float* base = q + (((img * h) + y) * w + x) * c;
-    if (x + 4 <= wo && r + 4 <= hi) {
-      float acc[4][CO] = {};
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        // For a fixed ky the (kx, c) patch span is contiguous in both the
-        // quantized input and the [K*K*Ci, Co] weight matrix.
-        const float* p = base + ky * w * c;
-        const float* wrow = wts + ky * kc * CO;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float* wr = wrow + i * CO;
-          const float a0 = p[i], a1 = p[i + c];
-          const float a2 = p[i + 2 * c], a3 = p[i + 3 * c];
-#pragma omp simd
-          for (int j = 0; j < CO; ++j) {
-            acc[0][j] += a0 * wr[j];
-            acc[1][j] += a1 * wr[j];
-            acc[2][j] += a2 * wr[j];
-            acc[3][j] += a3 * wr[j];
-          }
-        }
-      }
-      for (int m = 0; m < 4; ++m) {
-        std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-        for (int j = 0; j < CO; ++j)
-          bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                      (static_cast<std::int32_t>(acc[m][j]) >= thr[j]) ^
-                      inv[j]))
-                  << j;
-        t.out.row(r + m)[0] = bits;
-      }
-      r += 4;
-    } else {
-      float acc[CO] = {};
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const float* p = base + ky * w * c;
-        const float* wrow = wts + ky * kc * CO;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float a = p[i];
-          const float* wr = wrow + i * CO;
-#pragma omp simd
-          for (int j = 0; j < CO; ++j) acc[j] += a * wr[j];
-        }
-      }
-      std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-      for (int j = 0; j < CO; ++j)
-        bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                    (static_cast<std::int32_t>(acc[j]) >= thr[j]) ^ inv[j]))
-                << j;
-      t.out.row(r)[0] = bits;
-      ++r;
-    }
-  }
-}
-
-/// Generic-width variant: channels are walked in 256-lane stack tiles
-/// (word-aligned, so each tile fires whole output words), re-reading the
-/// input patch once per tile. Weight traffic is unchanged and the
-/// accumulators stay on the stack, keeping the kernel allocation-free for
-/// any channel count.
-void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
-                         std::int64_t hi) {
-  const float* q = t.q;
-  const float* wts = t.st->weights.data();
-  const std::int64_t h = t.h, w = t.w, c = t.c, ho = t.ho, wo = t.wo;
-  const std::int64_t k = t.st->k, co = t.st->co, kc = k * c;
-  constexpr std::int64_t kTile = 256;
-  float acc[kTile];
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
-    std::uint64_t* dst = t.out.row(r);
-    for (std::int64_t c0 = 0; c0 < co; c0 += kTile) {
-      const std::int64_t cn = std::min(kTile, co - c0);
-#pragma omp simd
-      for (std::int64_t j = 0; j < cn; ++j) acc[j] = 0.f;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const float* p = q + (((img * h) + y + ky) * w + x) * c;
-        const float* wrow = wts + ky * kc * co + c0;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float a = p[i];
-          const float* wr = wrow + i * co;
-#pragma omp simd
-          for (std::int64_t j = 0; j < cn; ++j) acc[j] += a * wr[j];
-        }
-      }
-      for (std::int64_t word = 0; word * 64 < cn; ++word) {
-        const std::int64_t base = word * 64;
-        const std::int64_t nb = std::min<std::int64_t>(64, cn - base);
-        const float* ab = acc + base;
-        const std::int32_t* tp = t.thr + c0 + base;
-        const std::int32_t* ip = t.inv + c0 + base;
-        std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-        for (std::int64_t i = 0; i < nb; ++i)
-          bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                      (static_cast<std::int32_t>(ab[i]) >= tp[i]) ^ ip[i]))
-                  << i;
-        dst[(c0 >> 6) + word] = bits;
-      }
-    }
-  }
-}
-
-void first_conv_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const FirstConvCtx& t = *static_cast<const FirstConvCtx*>(raw);
-  switch (t.st->co) {
-    case 16:
-      first_conv_rows_fixed<16>(t, lo, hi);
-      break;
-    case 64:
-      first_conv_rows_fixed<64>(t, lo, hi);
-      break;
-    default:
-      first_conv_rows_any(t, lo, hi);
-  }
-}
-
 }  // namespace
 
-void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
-             const float* input, Workspace& ws, float* out) {
+void execute(const ExecutionPlan& plan, const float* input, Workspace& ws,
+             float* out) {
   BCOP_CHECK(ws.capacity() >= plan.arena_bytes(),
              "workspace holds %zu bytes but the plan needs %zu -- call "
              "Workspace::prepare(plan) first",
@@ -239,7 +73,8 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
   std::int32_t* acc = reinterpret_cast<std::int32_t*>(base + plan.acc_offset());
   std::int32_t* acc2 =
       reinterpret_cast<std::int32_t*>(base + plan.acc2_offset());
-  float* fscratch = reinterpret_cast<float*>(base + plan.float_offset());
+  std::int16_t* codes =
+      reinterpret_cast<std::int16_t*>(base + plan.codes_offset());
 
 #if BCOP_OBS
   // One flag read per replay; when recording, each step adds two clock
@@ -265,34 +100,31 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
 #endif
     switch (st.kind) {
       case StepKind::kFirstConv: {
-        // get_if, not get: the throwing std::get drags
-        // __cxa_throw/__cxa_allocate_exception/operator delete references
-        // into this TU (visible to scripts/audit_hot_path.py), and a kind
-        // mismatch here is a plan-compiler bug, not a recoverable error.
-        const auto* fcp =
-            std::get_if<FirstConvStage>(&stages[static_cast<std::size_t>(st.stage)]);
-        BCOP_CHECK(fcp != nullptr,
-                   "plan step %lld: stage is not a FirstConvStage",
-                   static_cast<long long>(st.stage));
-        const auto& fc = *fcp;
-        // Recover the integer pixel codes (pixels are odd k'/255, see
-        // facegen::MaskedFaceDataset::quantize_pixel).
+        // Integer pixel codes (pixel_code: the one quantizer the pipeline
+        // shares), then the tier's conv kernel fires every threshold bank
+        // in registers straight into the output planes.
         const std::int64_t numel = st.n * st.h * st.w * st.c;
         for (std::int64_t j = 0; j < numel; ++j)
-          fscratch[j] = std::nearbyint(input[j] * 255.f);
-        if (st.levels_out == 1) {
-          const PreparedThresholds& prep = plan.prep(st.prep);
-          FirstConvCtx ctx{fscratch, &fc,   prep.thr.data(), prep.inv.data(),
-                           st.h,     st.w,  st.c,            st.ho,
-                           st.wo,    dst};
-          ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_chunk,
-                                          &ctx, st.width);
-        } else {
-          // Residual entry: materialize the integer accumulators, then
-          // fire the pattern banks (exec_residual.cpp).
-          residual_first_conv(st, fc, fscratch, acc);
-          residual_fire(plan, st, acc, half[st.dst_half]);
-        }
+          codes[j] = pixel_code(input[j]);
+        for (std::int64_t j = 0; j < tensor::kernels::kFirstConvCodeSlack; ++j)
+          codes[numel + j] = 0;
+        tensor::kernels::FirstConvCtx ctx{};
+        ctx.codes = codes;
+        ctx.wts = plan.first_conv_weights();
+        bind_banks(plan, st, ctx.thr, ctx.inv);
+        ctx.dst = half[st.dst_half];
+        ctx.h = st.h;
+        ctx.w = st.w;
+        ctx.c = st.c;
+        ctx.k = st.k;
+        ctx.co = st.co;
+        ctx.ho = st.ho;
+        ctx.wo = st.wo;
+        ctx.wpr = st.out_wpr;
+        ctx.plane_words = st.out_rows * st.out_wpr;
+        ctx.levels = st.levels_out;
+        ThreadPool::global().for_chunks(0, st.out_rows, st.first_conv_fn, &ctx,
+                                        st.width);
         break;
       }
       case StepKind::kPackInput:

@@ -16,12 +16,11 @@
 namespace bcop::xnor::detail {
 
 /// Run `plan` over `input` (the float tensor data the plan was compiled
-/// for), writing plan.output_shape().numel() floats to `out`. `stages`
-/// must be the stage list of the network the plan was compiled from, and
-/// `ws` must already be prepared for the plan (ws.prepare(plan) -- the
-/// allocating prologue stays with the caller by design).
-void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
-             const float* input, Workspace& ws, float* out);
+/// for), writing plan.output_shape().numel() floats to `out`. `ws` must
+/// already be prepared for the plan (ws.prepare(plan) -- the allocating
+/// prologue stays with the caller by design).
+void execute(const ExecutionPlan& plan, const float* input, Workspace& ws,
+             float* out);
 
 // Telemetry slot order shared by the registration site (plan.cpp) and the
 // recording site (exec.cpp): slots 0..7 are the StepKind values in enum

@@ -87,51 +87,6 @@ void residual_fire_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   }
 }
 
-// ---- First-conv integer accumulation (generic channel width). Mirrors
-// exec.cpp's first_conv_rows_any 256-lane tiling, but stores the int32
-// accumulators instead of firing -- residual firing needs them all. ----
-
-struct FirstConvAccCtx {
-  const float* q;    // quantized pixel codes, NHWC
-  const float* wts;  // {-1,+1} weights, [K*K*Ci, Co]
-  std::int64_t h, w, c, k, co, ho, wo;
-  std::int32_t* acc;
-};
-
-void first_conv_acc_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const FirstConvAccCtx& t = *static_cast<const FirstConvAccCtx*>(raw);
-  const float* q = t.q;
-  const float* wts = t.wts;
-  const std::int64_t h = t.h, w = t.w, c = t.c, ho = t.ho, wo = t.wo;
-  const std::int64_t k = t.k, co = t.co, kc = k * c;
-  constexpr std::int64_t kTile = 256;
-  float acc[kTile];
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
-    std::int32_t* out = t.acc + r * co;
-    for (std::int64_t c0 = 0; c0 < co; c0 += kTile) {
-      const std::int64_t cn = std::min(kTile, co - c0);
-#pragma omp simd
-      for (std::int64_t j = 0; j < cn; ++j) acc[j] = 0.f;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const float* p = q + (((img * h) + y + ky) * w + x) * c;
-        const float* wrow = wts + ky * kc * co + c0;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float a = p[i];
-          const float* wr = wrow + i * co;
-#pragma omp simd
-          for (std::int64_t j = 0; j < cn; ++j) acc[j] += a * wr[j];
-        }
-      }
-#pragma omp simd
-      for (std::int64_t j = 0; j < cn; ++j)
-        out[c0 + j] = static_cast<std::int32_t>(acc[j]);
-    }
-  }
-}
-
 // ---- Lexicographic masked-OR pool. Chunks range over output pixel rows
 // (same geometry as tensor::pool2_bits). ----
 
@@ -212,20 +167,25 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
   }
 }
 
-void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
-                   const std::int32_t* acc, std::uint64_t* dst) {
+void bind_banks(const ExecutionPlan& plan, const PlanStep& st,
+                const std::int32_t* (&thr)[7], const std::int32_t* (&inv)[7]) {
   BCOP_CHECK(st.levels_out >= 1 && st.levels_out <= 3,
-             "residual_fire: levels_out %lld out of [1, 3]",
+             "plan step: levels_out %lld out of [1, 3]",
              static_cast<long long>(st.levels_out));
-  ResidualFireCtx ctx;
-  ctx.acc = acc;
   const std::int64_t banks = (std::int64_t{1} << st.levels_out) - 1;
   for (std::int64_t b = 0; b < banks; ++b) {
     const PreparedThresholds& p = plan.prep(st.prep + b);
-    ctx.thr[b] = p.thr.data();
-    ctx.inv[b] = p.inv.data();
+    thr[b] = p.thr.data();
+    inv[b] = p.inv.data();
   }
-  for (std::int64_t b = banks; b < 7; ++b) ctx.thr[b] = ctx.inv[b] = nullptr;
+  for (std::int64_t b = banks; b < 7; ++b) thr[b] = inv[b] = nullptr;
+}
+
+void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
+                   const std::int32_t* acc, std::uint64_t* dst) {
+  ResidualFireCtx ctx;
+  ctx.acc = acc;
+  bind_banks(plan, st, ctx.thr, ctx.inv);
   ctx.dst = dst;
   ctx.cols = st.out_cols;
   ctx.wpr = st.out_wpr;
@@ -233,14 +193,6 @@ void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
   ctx.levels = st.levels_out;
   ThreadPool::global().for_chunks(0, st.out_rows, &residual_fire_chunk, &ctx,
                                   st.width);
-}
-
-void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
-                         const float* q, std::int32_t* acc) {
-  FirstConvAccCtx ctx{q,    fc.weights.data(), st.h,  st.w, st.c,
-                      st.k, fc.co,             st.ho, st.wo, acc};
-  ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_acc_chunk,
-                                  &ctx, st.width);
 }
 
 void residual_pool(const PlanStep& st, const std::uint64_t* src,

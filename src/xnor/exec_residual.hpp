@@ -2,8 +2,8 @@
 //
 // exec.cpp dispatches here whenever a step's input or output activation
 // carries more than one packed plane (docs/residual-binarization.md); the
-// classic single-plane steps never enter this TU, so the M = 1 path stays
-// byte-identical to the pre-residual interpreter. Same contract as
+// classic single-plane steps only borrow bind_banks from this TU, so the
+// M = 1 path stays byte-identical to the pre-residual interpreter. Same contract as
 // exec.cpp: ALLOCATION-FREE ZONE -- every buffer is a Workspace arena
 // slice at a plan-frozen offset, scratch lives in fixed-size stack tiles,
 // and parallel fan-out uses ThreadPool::for_chunks. Enforced by lint rule
@@ -32,6 +32,13 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
                    const std::uint64_t* src, std::uint64_t* patch,
                    std::int32_t* acc, std::int32_t* acc2);
 
+/// Point thr[b]/inv[b] at the step's threshold bank b for every bank
+/// its levels_out fires ((1 << levels_out) - 1, consecutive from
+/// st.prep), nulling the rest -- the bank order residual_fire and the
+/// first-conv kernel (tensor::kernels::FirstConvCtx) both walk.
+void bind_banks(const ExecutionPlan& plan, const PlanStep& st,
+                const std::int32_t* (&thr)[7], const std::int32_t* (&inv)[7]);
+
 /// Fire the (1 << levels_out) - 1 pattern threshold banks of a residual
 /// step over integer accumulators, emitting levels_out packed planes at
 /// `dst` (plane m at word offset m * out_rows * out_wpr). Per channel the
@@ -40,15 +47,6 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
 /// stores keep the trailing-bits-zero invariant on reused arena rows.
 void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
                    const std::int32_t* acc, std::uint64_t* dst);
-
-/// First-conv accumulation for a residual entry stage: quantized pixel
-/// codes x binary weights into int32 accumulators (acc[r * co + j]),
-/// WITHOUT firing -- residual_fire then runs the pattern banks over them.
-/// The classic entry keeps its fused conv+threshold kernel; this split
-/// exists only because M > 1 firing needs all co accumulators of a pixel
-/// at once. Arithmetic is exact: codes <= 255, |acc| <= K*255 << 2^24.
-void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
-                         const float* q, std::int32_t* acc);
 
 /// 2x2 stride-2 max pool over a residual activation. On a residual
 /// encoding the max of four candidates is the lexicographic max of their

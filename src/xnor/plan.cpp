@@ -41,19 +41,23 @@ std::size_t bits_bytes(std::int64_t rows, std::int64_t cols) {
 // n-CNV with every step's width forced to 1 (StageProfiler self
 // ns/image, 4-vCPU AVX-512 host), divided by the units/image summed over
 // the layers:
-//   first conv  52767 ns / (900 rows x 432 MACs)             = 0.136 ns/MAC
+//   first conv  14055 ns / (900 rows x 432 MACs)             = 0.0362 ns/MAC
 //   im2row      40956 ns / 9342 words (k^2 x in_wpr per row)  = 4.38 ns/word
 //   GEMM        36751 ns / 70912 words (co x wpr per row)     = 0.518 ns/word
 //   thresholds   8178 ns / 20992 output channels              = 0.390 ns/ch
 //   pool         2362 ns / 221 words (wpr per row)            = 10.7 ns/word
-// Residual scale-accumulate and pattern-bank firing take the threshold
-// form and rate, per output channel and plane; flatten is a word gather
+// The first-conv figure is the mean of two such runs (12958 and 15151 ns)
+// and includes quantizing the pixels and firing plane 0 in registers; an
+// M = 3 entry's two further planes cost 10549 ns/image more, 0.366 ns per
+// channel and plane, so they take the threshold rate. Residual
+// scale-accumulate and pattern-bank firing take the threshold form and
+// rate too, per output channel and plane; flatten is a word gather
 // like im2row. Per-row overheads dominate im2row and pool, hence their
 // large per-word figures. Serial prices make the width independent of
 // the pool size: a step splits into one part per kMinChunkNs of serial
 // work, capped at the pool. Constants, not options: a wrong guess moves
 // a step between inline and parallel, never changes its result.
-constexpr double kFirstConvNsPerMac = 0.136;
+constexpr double kFirstConvNsPerMac = 0.0362;
 constexpr double kIm2rowNsPerWord = 4.38;
 constexpr double kGemmNsPerWord = 0.518;
 constexpr double kThreshNsPerChannel = 0.390;
@@ -75,11 +79,9 @@ double estimate_step_ns(const PlanStep& st) {
   const double fire = d(st.levels_out * st.co) * kThreshNsPerChannel;
   switch (st.kind) {
     case StepKind::kFirstConv:
-      // The classic kernel fires its thresholds inside the MAC loop; a
-      // residual entry fires its pattern banks as a separate region.
       return d(st.out_rows) *
              (d(st.k * st.k * st.c * st.co) * kFirstConvNsPerMac +
-              (st.levels_out > 1 ? fire : 0.0));
+              d((st.levels_out - 1) * st.co) * kThreshNsPerChannel);
     case StepKind::kBinConv:
       return d(st.out_rows) *
              (passes * (d(st.k * st.k * st.in_wpr) * kIm2rowNsPerWord +
@@ -126,7 +128,7 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
          std::to_string(levels));
 
   std::size_t half_bytes[2] = {0, 0};
-  std::size_t patch_bytes = 0, acc_bytes = 0, acc2_bytes = 0, float_bytes = 0;
+  std::size_t patch_bytes = 0, acc_bytes = 0, acc2_bytes = 0, codes_bytes = 0;
   const std::int64_t n = input[0];
   std::int64_t h = 0, w = 0, c = 0;
   bool flat = false;      // post-flatten rank-2 semantics
@@ -205,6 +207,7 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     st.gemm_fn = kt.gemm;
     st.thresh_fn = kt.thresh;
     st.im2row_fn = kt.im2row;
+    st.first_conv_fn = kt.first_conv;
     st.width = fan_out_width(st, workers);
     if (st.dst_half >= 0)
       half_bytes[st.dst_half] = std::max(
@@ -265,7 +268,6 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     if (ho <= 0 || wo <= 0) fail("FirstConv kernel larger than input");
     PlanStep st;
     st.kind = StepKind::kFirstConv;
-    st.stage = 0;
     st.prep = add_prep_banks(fc->thresholds, fc->residual, 0, st.levels_out);
     st.k = fc->k;
     st.n = n;
@@ -279,11 +281,21 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     st.out_cols = fc->co;
     st.out_wpr = words_for_bits(fc->co);
     st.dst_half = 0;
-    // The classic first conv fires thresholds inside its fused kernel; a
-    // residual one materializes integer accumulators first so the shared
-    // pattern-bank firing can run over them.
-    if (st.levels_out > 1) st.acc_len = st.out_rows * fc->co;
-    float_bytes = static_cast<std::size_t>(input.numel()) * sizeof(float);
+    // The kernel fires every bank in registers, so the step needs no
+    // accumulator region -- only the int16 pixel codes plus the slack a
+    // tap-pair read may touch past the last pixel.
+    namespace kn = tensor::kernels;
+    if (fc->weights.numel() != fc->k * fc->k * fc->ci * fc->co)
+      fail("FirstConv weights hold " + std::to_string(fc->weights.numel()) +
+           " values, expected k*k*ci*co = " +
+           std::to_string(fc->k * fc->k * fc->ci * fc->co));
+    plan.first_conv_wts_.resize(
+        static_cast<std::size_t>(kn::first_conv_weight_len(st.k, c, st.co)));
+    kn::pack_first_conv_weights(fc->weights.data(), st.k, c, st.co,
+                                plan.first_conv_wts_.data());
+    codes_bytes = static_cast<std::size_t>(input.numel() +
+                                           kn::kFirstConvCodeSlack) *
+                  sizeof(std::int16_t);
     emit(st);
     set_stream(fc->residual, st.levels_out);
     plan.stage_shapes_.push_back({h, w, c, ho, wo, fc->co});
@@ -342,7 +354,6 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       if (ho <= 0 || wo <= 0) fail("conv kernel larger than input");
       PlanStep st;
       st.kind = StepKind::kBinConv;
-      st.stage = static_cast<std::int64_t>(i);
       st.prep = add_prep_banks(cv->thresholds, cv->residual, i, st.levels_out);
       st.wmat = add_wmat(cv->weights);
       stamp_input(st);
@@ -416,7 +427,6 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
              std::to_string(c));
       PlanStep st;
       st.kind = d->has_threshold ? StepKind::kBinDense : StepKind::kLogits;
-      st.stage = static_cast<std::int64_t>(i);
       st.wmat = add_wmat(d->weights);
       st.n = n;
       st.h = st.w = 1;
@@ -474,7 +484,7 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   }
 
   // --- Freeze the arena layout: [half A | half B | patch | acc | acc2 |
-  // floats], each region 64-byte aligned so rows start on cache lines.
+  // codes], each region 64-byte aligned so rows start on cache lines.
   // Classic plans have acc2_bytes == 0, leaving their layout (and
   // arena_bytes) byte-identical to the pre-residual engine. ---
   std::size_t off = 0;
@@ -488,8 +498,8 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   off += align64(acc_bytes);
   plan.off_acc2_ = off;
   off += align64(acc2_bytes);
-  plan.off_floats_ = off;
-  off += align64(float_bytes);
+  plan.off_codes_ = off;
+  off += align64(codes_bytes);
   plan.arena_bytes_ = off;
 
 #if BCOP_OBS

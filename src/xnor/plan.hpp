@@ -6,16 +6,16 @@
 // and freezes everything the hot loop would otherwise recompute or
 // reallocate: per-step output geometry, packed-row layouts, accumulator
 // lengths, branch-free threshold banks (PreparedThresholds), word-major
-// pre-transposed weight matrices, and byte offsets into a single ping-pong
+// pre-transposed weight matrices, the first conv's packed int16 weights,
+// and byte offsets into a single ping-pong
 // arena. Workspace owns that arena -- aligned, grow-only, reusable across
 // calls and across plans -- so steady-state inference performs zero heap
 // allocations (tests/test_zero_alloc.cpp measures this; lint rule R6 keeps
 // allocation out of the interpreter in src/xnor/exec.cpp).
 //
-// Lifetime: a plan borrows the network it was compiled from (weight
-// matrices of FirstConv stages are read through stage indices), so the
-// XnorNetwork must outlive the plan. XnorNetwork::plan_for() ties the two
-// together by caching plans inside the network.
+// Ownership: a plan holds copies of everything its steps read -- packed
+// weights, threshold banks, geometry -- so replay needs no stage list.
+// XnorNetwork::plan_for() caches plans inside the network they came from.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,7 @@ class XnorNetwork;
 /// before dense layers become real Flatten steps, and partial networks end
 /// with an Unpack step.
 enum class StepKind : std::uint8_t {
-  kFirstConv,  // quantize + conv + threshold -> packed bits (entry only)
+  kFirstConv,  // pixel codes -> integer conv + firing -> planes (entry only)
   kPackInput,  // pack float activations by sign (entry only)
   kBinConv,    // bit im2row -> XNOR GEMM -> thresholds
   kPool,       // 2x2 boolean-OR pool
@@ -54,7 +54,6 @@ enum class StepKind : std::uint8_t {
 /// the byte offsets of the halves and scratch regions live on the plan.
 struct PlanStep {
   StepKind kind;
-  std::int64_t stage = -1;  // index into XnorNetwork::stages(), -1 if none
   std::int64_t prep = -1;   // index into plan-owned PreparedThresholds
   std::int64_t wmat = -1;   // index into plan-owned pre-transposed weights
   std::int64_t k = 0;       // conv kernel size
@@ -64,7 +63,7 @@ struct PlanStep {
   std::int64_t in_rows = 0, in_cols = 0, in_wpr = 0;
   std::int64_t out_rows = 0, out_cols = 0, out_wpr = 0;
   std::int64_t patch_rows = 0, patch_cols = 0, patch_wpr = 0;
-  std::int64_t acc_len = 0;  // int32 accumulator length (GEMM steps)
+  std::int64_t acc_len = 0;  // int32 accumulator length (GEMM steps only)
   int src_half = -1, dst_half = -1;
   // Residual binarization (docs/residual-binarization.md). Plane m of a
   // multi-level activation lives at word offset m * rows * wpr inside its
@@ -85,6 +84,7 @@ struct PlanStep {
   tensor::kernels::KernelFn gemm_fn = nullptr;
   tensor::kernels::KernelFn thresh_fn = nullptr;
   tensor::kernels::KernelFn im2row_fn = nullptr;
+  tensor::kernels::KernelFn first_conv_fn = nullptr;
   // Fan-out cap frozen at compile time from the step's estimated serial
   // cost (ExecutionPlan::compile): every ThreadPool::for_chunks region of
   // this step splits into at most `width` parts, and width 1 runs inline
@@ -111,7 +111,7 @@ class ExecutionPlan {
   /// input[0]). Throws std::runtime_error with a descriptive message for
   /// stage lists the interpreter does not support (e.g. float-domain
   /// Pool/Flatten before the first binary stage, or stages after the
-  /// classifier). `net` must outlive the returned plan.
+  /// classifier).
   ///
   /// `levels` caps the residual binarization depth M laid out by the
   /// plan: 0 keeps every trained level, 1..3 truncate deeper stages to M
@@ -134,12 +134,18 @@ class ExecutionPlan {
   const std::uint64_t* wmat(std::int64_t i) const {
     return wmats_[static_cast<std::size_t>(i)].data();
   }
+  /// The FirstConv entry's +-1 weights in the kernel layout
+  /// (tensor::kernels::pack_first_conv_weights); empty without one.
+  const std::int16_t* first_conv_weights() const {
+    return first_conv_wts_.data();
+  }
 
   /// Total arena bytes a Workspace must provide, and the byte offsets of
   /// the two ping-pong halves, the im2row patch region, the int32
-  /// accumulator regions and the float scratch region within it. acc2 is
-  /// the per-level GEMM scratch of residual plans (zero-sized and aliased
-  /// to the float offset for classic plans, which never touch it).
+  /// accumulator regions and the first conv's int16 pixel-code region
+  /// within it. acc2 is the per-level GEMM scratch of residual plans
+  /// (zero-sized and aliased to the codes offset for classic plans, which
+  /// never touch it).
   std::size_t arena_bytes() const { return arena_bytes_; }
   std::size_t half_offset(int half) const {
     return off_half_[static_cast<std::size_t>(half)];
@@ -147,7 +153,7 @@ class ExecutionPlan {
   std::size_t patch_offset() const { return off_patch_; }
   std::size_t acc_offset() const { return off_acc_; }
   std::size_t acc2_offset() const { return off_acc2_; }
-  std::size_t float_offset() const { return off_floats_; }
+  std::size_t codes_offset() const { return off_codes_; }
 
   /// The residual level cap this plan was compiled with (0 = all trained
   /// levels); part of the plan-cache key.
@@ -167,10 +173,11 @@ class ExecutionPlan {
   std::vector<PlanStep> steps_;
   std::vector<PreparedThresholds> preps_;
   std::vector<std::vector<std::uint64_t>> wmats_;
+  std::vector<std::int16_t> first_conv_wts_;
   std::vector<StageShape> stage_shapes_;
   std::size_t arena_bytes_ = 0;
   std::size_t off_half_[2] = {0, 0};
-  std::size_t off_patch_ = 0, off_acc_ = 0, off_acc2_ = 0, off_floats_ = 0;
+  std::size_t off_patch_ = 0, off_acc_ = 0, off_acc2_ = 0, off_codes_ = 0;
   std::int64_t levels_ = 0;
   const obs::StageSlots* obs_slots_ = nullptr;
   tensor::kernels::KernelLevel kernel_level_ =

@@ -54,6 +54,27 @@ TEST_P(PipelinePerArch, MatchesXnorEngineBitExactly) {
       ASSERT_FLOAT_EQ(result.logits[i], ref[i])
           << core::arch_name(arch) << " trial " << trial << " logit " << i;
   }
+
+  // Rounding ties: pixels whose x * 255 lands exactly halfway between two
+  // codes. Ties-to-even and ties-away-from-zero disagree on half of them,
+  // so an image of ties catches a pipeline that quantizes differently
+  // from the engine (both must use xnor::pixel_code).
+  std::vector<float> ties;
+  for (int k = -255; k < 255; ++k) {
+    const float half = static_cast<float>(k) + 0.5f;
+    if ((half / 255.f) * 255.f == half) ties.push_back(half / 255.f);
+  }
+  ASSERT_GT(ties.size(), 100u);
+  for (std::size_t shift = 0; shift < 2; ++shift) {
+    Tensor x(Shape{1, 32, 32, 3});
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+      x[i] = ties[(static_cast<std::size_t>(i) * 7 + shift) % ties.size()];
+    const Tensor ref = net.forward(x);
+    const auto result = pipeline.run(x);
+    for (std::int64_t i = 0; i < ref.numel(); ++i)
+      ASSERT_FLOAT_EQ(result.logits[i], ref[i])
+          << core::arch_name(arch) << " tie image " << shift << " logit " << i;
+  }
 }
 
 TEST_P(PipelinePerArch, CycleCountsMatchPerformanceModel) {

@@ -85,6 +85,7 @@ TEST(KernelDispatch, TablesMatchTheirAdvertisedLevel) {
     EXPECT_NE(t.gemm, nullptr);
     EXPECT_NE(t.thresh, nullptr);
     EXPECT_NE(t.im2row, nullptr);
+    EXPECT_NE(t.first_conv, nullptr);
   }
 }
 
@@ -234,6 +235,160 @@ TEST(KernelDifferential, Im2rowMatchesScalarAcrossChannelRegimes) {
                        kn::kernel_level_name(lvl));
     }
   }
+}
+
+// --- Integer first conv: every tier against the scalar reference ----------
+
+/// One random first-conv problem: codes (with the slack the layout
+/// promises), packed +-1 weights, and `levels` pattern banks whose
+/// thresholds sit among the accumulators so both compare outcomes occur.
+struct FirstConvCase {
+  std::int64_t n, h, w, c, k, co, ho, wo, levels;
+  std::vector<std::int16_t> codes, wts;
+  std::vector<float> wf;  // the unpacked weights, [K*K*C, Co]
+  std::vector<std::vector<std::int32_t>> thr, inv;
+
+  FirstConvCase(std::int64_t n_, std::int64_t h_, std::int64_t w_,
+                std::int64_t c_, std::int64_t k_, std::int64_t co_,
+                std::int64_t levels_, util::Rng& rng, bool extreme)
+      : n(n_), h(h_), w(w_), c(c_), k(k_), co(co_),
+        ho(h_ - k_ + 1), wo(w_ - k_ + 1), levels(levels_) {
+    codes.assign(static_cast<std::size_t>(n * h * w * c +
+                                          kn::kFirstConvCodeSlack), 0);
+    for (std::int64_t i = 0; i < n * h * w * c; ++i)
+      codes[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(
+          extreme ? (rng.bernoulli(0.5) ? 255 : -255)
+                  : rng.uniform_int(0, 510) - 255);
+    wf.resize(static_cast<std::size_t>(k * k * c * co));
+    for (auto& v : wf) v = rng.bernoulli(0.5) ? 1.f : -1.f;
+    wts.resize(static_cast<std::size_t>(kn::first_conv_weight_len(k, c, co)));
+    kn::pack_first_conv_weights(wf.data(), k, c, co, wts.data());
+    const std::int64_t bound = k * k * c * 255;
+    const std::int64_t spread = extreme ? bound : bound / 8;
+    for (std::int64_t b = 0; b < (std::int64_t{1} << levels) - 1; ++b) {
+      std::vector<std::int32_t> t(static_cast<std::size_t>(co));
+      std::vector<std::int32_t> v(static_cast<std::size_t>(co));
+      for (auto& x : t)
+        x = static_cast<std::int32_t>(rng.uniform_int(0, 2 * spread) - spread);
+      for (auto& x : v) x = rng.bernoulli(0.5) ? 1 : 0;
+      thr.push_back(std::move(t));
+      inv.push_back(std::move(v));
+    }
+  }
+
+  std::int64_t rows() const { return n * ho * wo; }
+  std::int64_t wpr() const { return words_for_bits(co); }
+
+  /// Run `fn` over [lo, hi) chunks split at `cut`, into `out` (levels
+  /// planes of rows x wpr words).
+  void run(kn::KernelFn fn, std::vector<std::uint64_t>& out,
+           std::int64_t cut) const {
+    kn::FirstConvCtx ctx{};
+    ctx.codes = codes.data();
+    ctx.wts = wts.data();
+    for (std::size_t b = 0; b < thr.size(); ++b) {
+      ctx.thr[b] = thr[b].data();
+      ctx.inv[b] = inv[b].data();
+    }
+    ctx.dst = out.data();
+    ctx.h = h;
+    ctx.w = w;
+    ctx.c = c;
+    ctx.k = k;
+    ctx.co = co;
+    ctx.ho = ho;
+    ctx.wo = wo;
+    ctx.wpr = wpr();
+    ctx.plane_words = rows() * wpr();
+    ctx.levels = levels;
+    fn(&ctx, 0, cut);
+    fn(&ctx, cut, rows());
+  }
+};
+
+/// Plain per-channel convolution of one output pixel from the unpacked
+/// float weights, so the packing is checked too.
+std::int32_t reference_acc(const FirstConvCase& t, std::int64_t r,
+                           std::int64_t j) {
+  const std::int64_t img = r / (t.ho * t.wo), rem = r % (t.ho * t.wo);
+  const std::int64_t y = rem / t.wo, x = rem % t.wo;
+  const std::int64_t kc = t.k * t.c;
+  std::int32_t acc = 0;
+  for (std::int64_t ky = 0; ky < t.k; ++ky)
+    for (std::int64_t i = 0; i < kc; ++i) {
+      const std::int64_t code_at = ((img * t.h + y + ky) * t.w + x) * t.c + i;
+      const float w = t.wf[static_cast<std::size_t>((ky * kc + i) * t.co + j)];
+      acc += t.codes[static_cast<std::size_t>(code_at)] * (w > 0.f ? 1 : -1);
+    }
+  return acc;
+}
+
+TEST(KernelDifferential, FirstConvScalarMatchesPlainConvolution) {
+  // The scalar tier defines the semantics; pin it to a per-channel
+  // convolution and the residual bank walk written out longhand.
+  util::Rng rng(43);
+  for (const std::int64_t levels : {1, 2, 3}) {
+    const FirstConvCase t(2, 6, 7, 3, 3, 20, levels, rng, false);
+    std::vector<std::uint64_t> got(
+        static_cast<std::size_t>(levels * t.rows() * t.wpr()), ~0ull);
+    t.run(kn::scalar_table().first_conv, got, t.rows() / 2);
+    for (std::int64_t r = 0; r < t.rows(); ++r)
+      for (std::int64_t j = 0; j < t.co; ++j) {
+        const std::int32_t acc = reference_acc(t, r, j);
+        std::int64_t pattern = 0;
+        for (std::int64_t m = 0; m < levels; ++m) {
+          const std::size_t bank =
+              static_cast<std::size_t>((std::int64_t{1} << m) - 1 + pattern);
+          const int bit = (acc >= t.thr[bank][static_cast<std::size_t>(j)]) ^
+                          t.inv[bank][static_cast<std::size_t>(j)];
+          const std::uint64_t word =
+              got[static_cast<std::size_t>(m * t.rows() * t.wpr() +
+                                           r * t.wpr() + j / 64)];
+          ASSERT_EQ(static_cast<int>((word >> (j % 64)) & 1), bit)
+              << "M=" << levels << " level " << m << " row " << r
+              << " channel " << j;
+          pattern |= std::int64_t{bit} << m;
+        }
+      }
+  }
+}
+
+TEST(KernelDifferential, FirstConvMatchesScalarOnEveryShapeAndSplit) {
+  util::Rng rng(47);
+  int cases = 0;
+  for (const std::int64_t c : {1, 2, 3})
+    for (const std::int64_t k : {3, 5})
+      for (const std::int64_t co : {4, 12, 16, 20, 64, 70}) {
+        const std::int64_t levels = 1 + (cases % 3);
+        const bool extreme = cases % 4 == 3;  // every code at +-255
+        const std::int64_t w = k + rng.uniform_int(0, 33 - k);  // 3..33
+        const std::int64_t h = k + rng.uniform_int(0, 3);
+        const FirstConvCase t(2, h, w, c, k, co, levels, rng, extreme);
+        const std::size_t words =
+            static_cast<std::size_t>(levels * t.rows() * t.wpr());
+        std::vector<std::uint64_t> want(words, ~0ull);
+        t.run(kn::scalar_table().first_conv, want, t.rows());
+        // Slack bits beyond co come out zero on dirty planes.
+        if (co % 64 != 0) {
+          for (std::size_t i = t.wpr() - 1; i < words; i += t.wpr())
+            ASSERT_EQ(want[i] >> (co % 64), 0u) << "scalar slack, word " << i;
+        }
+        for (const auto lvl : available_levels()) {
+          if (lvl == kn::KernelLevel::kScalar) continue;
+          // A chunk boundary at every row offset: 4-pixel groups must
+          // never straddle a split or an image-row end.
+          for (std::int64_t cut = 0; cut <= t.rows(); ++cut) {
+            std::vector<std::uint64_t> got(words, ~0ull);
+            t.run(kn::table_for(lvl).first_conv, got, cut);
+            for (std::size_t i = 0; i < words; ++i)
+              ASSERT_EQ(got[i], want[i])
+                  << kn::kernel_level_name(lvl) << ": c=" << c << " k=" << k
+                  << " co=" << co << " w=" << w << " M=" << levels
+                  << " cut=" << cut << " word " << i;
+          }
+        }
+        ++cases;
+      }
 }
 
 // --- End-to-end: whole prototypes agree across tiers ----------------------

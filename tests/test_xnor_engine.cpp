@@ -95,6 +95,62 @@ TEST(Engine, PredictionAgreementOnQuantizedFaces) {
   EXPECT_GE(static_cast<double>(agree) / static_cast<double>(ref.size()), 0.95);
 }
 
+TEST(PixelCode, RoundsTiesToEvenAndClampsEverythingElse) {
+  EXPECT_EQ(xnor::pixel_code(0.f), 0);
+  EXPECT_EQ(xnor::pixel_code(1.f), 255);
+  EXPECT_EQ(xnor::pixel_code(-1.f), -255);
+  EXPECT_EQ(xnor::pixel_code(3.f / 255.f), 3);
+  EXPECT_EQ(xnor::pixel_code(std::nanf("")), 0);
+  EXPECT_EQ(xnor::pixel_code(-std::nanf("")), 0);
+  EXPECT_EQ(xnor::pixel_code(INFINITY), 255);
+  EXPECT_EQ(xnor::pixel_code(-INFINITY), -255);
+  EXPECT_EQ(xnor::pixel_code(1e30f), 255);
+  EXPECT_EQ(xnor::pixel_code(-1e30f), -255);
+  EXPECT_EQ(xnor::pixel_code(1.5f), 255);
+  // Floats whose x * 255 lands exactly halfway between two codes round
+  // to the even code (nearbyint), never away from zero (lround).
+  int ties = 0;
+  for (int k = -255; k < 255; ++k) {
+    const float half = static_cast<float>(k) + 0.5f;
+    const float x = half / 255.f;
+    if (x * 255.f != half) continue;
+    ++ties;
+    EXPECT_EQ(xnor::pixel_code(x), k % 2 == 0 ? k : k + 1) << "tie " << half;
+  }
+  EXPECT_GT(ties, 100);
+}
+
+TEST(Engine, NonFinitePixelsClassifyLikeTheClampedImage) {
+  // NaN, +-inf and out-of-range pixels must take the clamped image's codes
+  // (NaN -> 0, everything else saturating at +-1), on the classic and the
+  // residual first conv, at batch 1 and batched.
+  const float specials[] = {std::nanf(""), INFINITY, -INFINITY, 1e30f,
+                            -1e30f,        3.f,      -2.f};
+  const float clamped_to[] = {0.f, 1.f, -1.f, 1.f, -1.f, 1.f, -1.f};
+  for (const std::int64_t levels : {1, 3}) {
+    nn::Sequential model =
+        core::build_bnn(core::ArchitectureId::kMicroCnv, 61, levels);
+    randomize_bn_state(model, 62, Shape{2, 32, 32, 3});
+    const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+    for (const std::int64_t batch : {1, 3}) {
+      util::Rng rng(63);
+      Tensor dirty = random_tensor(Shape{batch, 32, 32, 3}, rng);
+      Tensor clean = dirty;
+      for (std::int64_t i = 0; i < dirty.numel(); i += 5) {
+        const std::size_t s = static_cast<std::size_t>(i / 5) % 7;
+        dirty[i] = specials[s];
+        clean[i] = clamped_to[s];
+      }
+      const Tensor got = net.forward_batch(dirty);
+      const Tensor want = net.forward_batch(clean);
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t i = 0; i < got.numel(); ++i)
+        ASSERT_EQ(got[i], want[i])
+            << "M=" << levels << " batch " << batch << " logit " << i;
+    }
+  }
+}
+
 TEST(Engine, LogitsAreIntegers) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 5);
   randomize_bn_state(model, 6, Shape{4, 32, 32, 3});

@@ -119,7 +119,7 @@ TEST(ExecutionPlanTest, DetailExecuteMatchesForwardBatch) {
   Workspace ws;
   ws.prepare(plan);
   Tensor out(plan.output_shape());
-  xnor::detail::execute(plan, net.stages(), x.data(), ws, out.data());
+  xnor::detail::execute(plan, x.data(), ws, out.data());
 
   ASSERT_EQ(out.shape(), expected.shape());
   for (std::int64_t i = 0; i < out.numel(); ++i)
@@ -184,12 +184,12 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
   EXPECT_GT(residual_steps, 0);
 
   // The acc2 per-plane GEMM scratch is a real region (classic plans keep
-  // it zero-sized, aliased to the float offset).
-  EXPECT_GT(plan.float_offset(), plan.acc2_offset());
+  // it zero-sized, aliased to the codes offset).
+  EXPECT_GT(plan.codes_offset(), plan.acc2_offset());
   nn::Sequential classic = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
   const XnorNetwork cnet = XnorNetwork::fold(classic);
   const ExecutionPlan cplan = ExecutionPlan::compile(cnet, input);
-  EXPECT_EQ(cplan.float_offset(), cplan.acc2_offset());
+  EXPECT_EQ(cplan.codes_offset(), cplan.acc2_offset());
 }
 
 TEST(ExecutionPlanResidual, LevelCapTruncatesBanksAndKeysTheCache) {
@@ -238,7 +238,7 @@ TEST(ExecutionPlanResidual, DetailExecuteMatchesForwardBatchAtEveryCap) {
     Workspace ws;
     ws.prepare(plan);
     Tensor out(plan.output_shape());
-    xnor::detail::execute(plan, net.stages(), x.data(), ws, out.data());
+    xnor::detail::execute(plan, x.data(), ws, out.data());
     for (std::int64_t i = 0; i < out.numel(); ++i)
       ASSERT_EQ(out[i], expected[i]) << "cap " << cap << " logit " << i;
   }
@@ -308,6 +308,11 @@ TEST(ExecutionPlanWidth, LargeBatchConvLayersFanOutOverThePool) {
 TEST(ExecutionPlanWidth, BatchOneSmallLayersRunInline) {
   const XnorNetwork net = folded_ncnv();
   const auto steps = ncnv_steps(net, 1);
+  // The integer first conv costs ~14 us of serial work per image, under
+  // one part's worth: it runs inline instead of waking a worker.
+  const auto first = of_kind(steps, StepKind::kFirstConv);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0]->width, 1) << "first conv";
   const auto convs = of_kind(steps, StepKind::kBinConv);
   ASSERT_EQ(convs.size(), 5u);
   EXPECT_EQ(convs[3]->width, 1) << "conv3_1";
